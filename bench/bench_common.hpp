@@ -3,9 +3,12 @@
 // JSON export every figure bench emits (BENCH_<experiment>.json).
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,14 +29,39 @@ namespace spaden::bench {
 /// next to host_seconds — purely additive, so v1 readers keep working.
 inline constexpr const char* kBenchSchema = "spaden-bench-v2";
 
+/// Directory every bench artifact is written to: $SPADEN_BENCH_DIR, or the
+/// working directory when unset. Resolved once. The first call exits the
+/// process (status 2) with a message naming the path when the directory is
+/// missing or not writable, so a bench fails before it computes anything
+/// instead of after.
+inline const std::string& output_dir() {
+  static const std::string dir = [] {
+    const char* env = std::getenv("SPADEN_BENCH_DIR");
+    std::string d = env != nullptr && env[0] != '\0' ? std::string(env) : ".";
+    std::error_code ec;
+    if (!std::filesystem::is_directory(d, ec) || ::access(d.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr,
+                   "error: bench output directory '%s' (SPADEN_BENCH_DIR) is missing or "
+                   "not writable\n",
+                   d.c_str());
+      std::exit(2);
+    }
+    return d;
+  }();
+  return dir;
+}
+
 /// Structured results collector: every figure bench funnels its MethodRuns
 /// (and derived scalar metrics like geomean speedups) through one of these
-/// and writes BENCH_<experiment>.json next to the binary — or under
-/// SPADEN_BENCH_DIR when set — so CI can diff runs without scraping stdout.
+/// and writes BENCH_<experiment>.json under output_dir() — checked at
+/// construction, before the bench does any work — so CI can diff runs
+/// without scraping stdout.
 class BenchJson {
  public:
   BenchJson(std::string experiment, double scale)
-      : experiment_(std::move(experiment)), scale_(scale) {}
+      : experiment_(std::move(experiment)), scale_(scale) {
+    (void)output_dir();
+  }
 
   void add(const analysis::MethodRun& run) { runs_.push_back(run); }
 
@@ -42,11 +70,9 @@ class BenchJson {
     metrics_.emplace_back(name, value);
   }
 
-  /// Destination: $SPADEN_BENCH_DIR/BENCH_<experiment>.json (or cwd).
+  /// Destination: output_dir()/BENCH_<experiment>.json.
   [[nodiscard]] std::string path() const {
-    const char* dir = std::getenv("SPADEN_BENCH_DIR");
-    const std::string base = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-    return base + "/BENCH_" + experiment_ + ".json";
+    return output_dir() + "/BENCH_" + experiment_ + ".json";
   }
 
   /// Serialize and write the report; prints the destination to stderr.
@@ -125,9 +151,7 @@ class BenchJson {
                     "Host wall-clock seconds of format preparation per bench run")
           .observe(run.prep_seconds);
     }
-    const char* dir = std::getenv("SPADEN_BENCH_DIR");
-    const std::string base = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-    const std::string stem = base + "/METRICS_" + experiment_;
+    const std::string stem = output_dir() + "/METRICS_" + experiment_;
     JsonWriter w;
     w.begin_object();
     w.field("schema", met::kMetricsSchema);

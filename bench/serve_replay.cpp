@@ -19,6 +19,7 @@
 using namespace spaden;
 
 int main(int argc, char** argv) {
+  const std::string& dir = bench::output_dir();
   serve::ReplaySpec spec;
   if (argc > 1) {
     std::ifstream in(argv[1]);
@@ -67,14 +68,12 @@ int main(int argc, char** argv) {
   std::printf("demux       %s (%llu mismatched)\n", r.demux_ok ? "bit-exact" : "MISMATCH",
               static_cast<unsigned long long>(r.mismatched_requests));
 
-  const char* dir = std::getenv("SPADEN_BENCH_DIR");
-  const std::string base = dir != nullptr && dir[0] != '\0' ? std::string(dir) : ".";
-  write_text_file(base + "/BENCH_serve.json", r.bench_json);
-  std::fprintf(stderr, "[json] wrote %s/BENCH_serve.json\n", base.c_str());
+  write_text_file(dir + "/BENCH_serve.json", r.bench_json);
+  std::fprintf(stderr, "[json] wrote %s/BENCH_serve.json\n", dir.c_str());
   if (default_telemetry()) {
-    write_text_file(base + "/METRICS_serve.json", r.metrics_json());
-    write_text_file(base + "/METRICS_serve.prom", r.metrics_prometheus());
-    std::fprintf(stderr, "[json] wrote %s/METRICS_serve.{json,prom}\n", base.c_str());
+    write_text_file(dir + "/METRICS_serve.json", r.metrics_json());
+    write_text_file(dir + "/METRICS_serve.prom", r.metrics_prometheus());
+    std::fprintf(stderr, "[json] wrote %s/METRICS_serve.{json,prom}\n", dir.c_str());
   }
   return r.demux_ok ? 0 : 1;
 }

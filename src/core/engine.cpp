@@ -1,85 +1,60 @@
 #include "core/spaden.hpp"
 
-#include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "kernels/sharded.hpp"
 
 namespace spaden {
 
+// One engine over a DeviceGroup: a single-device engine is a group of one,
+// so verification, telemetry spans, log collection and result assembly
+// exist once, in run(), for every device count and right-hand-side count.
 struct SpmvEngine::Impl {
-  mat::Csr matrix;  // kept for first-run verification
   EngineOptions options;
   kern::Method method;
-  sim::Device device;
-  std::unique_ptr<kern::SpmvKernel> kernel;       // single-device path
-  std::unique_ptr<sim::DeviceGroup> group;        // num_devices > 1 only
-  std::unique_ptr<kern::ShardedSpmv> sharded;     // num_devices > 1 only
+  sim::DeviceGroup group;
+  kern::ShardedSpmv sharded;  // holds the (sub-)CSRs verification needs
   PrepInfo prep;
   std::unique_ptr<Telemetry> telemetry;  // null unless options.telemetry
   bool verified = false;
-  sim::Buffer<float> x_cache;       // device x of the last multiply
-  std::uint64_t x_cache_gen = 0;    // generation tag of x_cache (0 = none)
-
-  SpmvResult multiply_sharded(const std::vector<float>& x, std::vector<float>& y,
-                              std::uint64_t x_generation);
 
   Impl(const mat::Csr& a, EngineOptions opts)
-      : matrix(a),
-        options(std::move(opts)),
+      : options(std::move(opts)),
         method(options.method.value_or(auto_select(a))),
-        device(options.device),
-        kernel(options.num_devices > 1 ? nullptr : kern::make_kernel(method)) {
-    if (options.num_devices > 1) {
-      group = std::make_unique<sim::DeviceGroup>(options.device, options.num_devices);
-      if (options.sim_threads > 0) {
-        group->set_sim_threads(options.sim_threads);
-      }
-      group->set_sanitize(options.sanitize);
-      group->set_profile(options.profile);
-      group->set_sched(options.sched);
-      group->set_shared_l2(options.shared_l2);
-      sharded = std::make_unique<kern::ShardedSpmv>(*group, method);
-    }
+        group(options.device, options.num_devices),
+        sharded(group, method) {
     if (options.sim_threads > 0) {
-      device.set_sim_threads(options.sim_threads);
+      group.set_sim_threads(options.sim_threads);
     }
-    device.set_sanitize(options.sanitize);
-    device.set_profile(options.profile);
-    device.set_sched(options.sched);
-    device.set_shared_l2(options.shared_l2);
+    group.set_sanitize(options.sanitize);
+    group.set_profile(options.profile);
+    group.set_sched(options.sched);
+    group.set_shared_l2(options.shared_l2);
     if (options.telemetry) {
       telemetry = std::make_unique<Telemetry>();
       telemetry->set_label("method", std::string(kern::method_name(method)));
-      telemetry->set_label("device", device.spec().name);
-      if (group != nullptr) {
-        telemetry->set_label("devices", std::to_string(group->size()));
-        group->set_launch_log(true);
-      } else {
-        device.set_launch_log(true);
+      telemetry->set_label("device", group.spec().name);
+      if (group.size() > 1) {
+        telemetry->set_label("devices", std::to_string(group.size()));
       }
+      group.set_launch_log(true);
     }
 
     // The convert span is PrepInfo's single source of truth: prep.seconds
     // IS the span's host seconds (and, telemetry on, the same value the
     // spaden_convert_host_seconds histogram observes).
     ScopedSpan convert_span(telemetry.get(), "convert");
-    if (sharded != nullptr) {
-      sharded->prepare(matrix);
-    } else {
-      kernel->prepare(device, matrix);
-    }
+    sharded.prepare(a);
     prep.seconds = convert_span.close();
-    prep.ns_per_nnz = matrix.nnz() == 0
-                          ? 0.0
-                          : prep.seconds * 1e9 / static_cast<double>(matrix.nnz());
-    prep.footprint = sharded != nullptr ? sharded->footprint() : kernel->footprint();
-    prep.bytes_per_nnz = prep.footprint.bytes_per_nnz(matrix.nnz());
+    prep.ns_per_nnz =
+        a.nnz() == 0 ? 0.0 : prep.seconds * 1e9 / static_cast<double>(a.nnz());
+    prep.footprint = sharded.footprint();
+    prep.bytes_per_nnz = prep.footprint.bytes_per_nnz(a.nnz());
 
     if (options.verify_format) {
       ScopedSpan span(telemetry.get(), "verify_format");
-      const san::FormatReport report =
-          sharded != nullptr ? sharded->check_format() : kernel->check_format();
+      const san::FormatReport report = sharded.check_format();
       SPADEN_REQUIRE(report.ok(), "uploaded %s format fails verification:\n%s",
                      report.format.c_str(), report.summary().c_str());
       if (telemetry != nullptr) {
@@ -94,11 +69,11 @@ struct SpmvEngine::Impl {
       met::MetricsRegistry& reg = telemetry->metrics();
       const met::LabelSet& labels = telemetry->labels();
       reg.gauge("spaden_matrix_rows", labels, "Rows of the engine's matrix")
-          .set(static_cast<double>(matrix.nrows));
+          .set(static_cast<double>(a.nrows));
       reg.gauge("spaden_matrix_cols", labels, "Columns of the engine's matrix")
-          .set(static_cast<double>(matrix.ncols));
+          .set(static_cast<double>(a.ncols));
       reg.gauge("spaden_matrix_nnz", labels, "Nonzeros of the engine's matrix")
-          .set(static_cast<double>(matrix.nnz()));
+          .set(static_cast<double>(a.nnz()));
       reg.gauge("spaden_prep_bytes_per_nnz", labels,
                 "Device bytes per nonzero of the prepared format")
           .set(prep.bytes_per_nnz);
@@ -107,46 +82,80 @@ struct SpmvEngine::Impl {
           .set(prep.ns_per_nnz);
     }
   }
+
+  SpmvResult run(std::span<const std::vector<float>* const> xs,
+                 std::span<std::vector<float>* const> ys, std::uint64_t x_generation);
 };
 
-// Multi-device multiply (gpusim/multidevice): ShardedSpmv does the real
-// work — per-device upload, halo gating, launch, y concatenation — and the
-// engine keeps its responsibilities identical to the single-device path:
-// first-run verification, telemetry spans, log collection, result assembly.
-SpmvResult SpmvEngine::Impl::multiply_sharded(const std::vector<float>& x,
-                                              std::vector<float>& y,
-                                              std::uint64_t x_generation) {
+// ys[c] = A*xs[c] for k = xs.size() right-hand sides: one launch per shard
+// (SpmvKernel::run at k = 1, the fused run_multi at k > 1).
+SpmvResult SpmvEngine::Impl::run(std::span<const std::vector<float>* const> xs,
+                                 std::span<std::vector<float>* const> ys,
+                                 std::uint64_t x_generation) {
+  const auto k = static_cast<mat::Index>(xs.size());
+  SPADEN_REQUIRE(k >= 1, "multiply needs at least one right-hand side");
+  SPADEN_REQUIRE(k == 1 || group.size() == 1,
+                 "a batched multiply runs on a single device (num_devices == 1); "
+                 "got %d devices",
+                 group.size());
+  for (const std::vector<float>* x : xs) {
+    SPADEN_REQUIRE(x != nullptr && x->size() == sharded.ncols(), "x size %zu != ncols %u",
+                   x == nullptr ? std::size_t{0} : x->size(), sharded.ncols());
+  }
   Telemetry* tel = telemetry.get();
-  ScopedSpan multiply_span(tel, "multiply");
+  ScopedSpan multiply_span(tel, k == 1 ? "multiply" : "multiply_batch");
   if (options.verify_first_run && !verified) {
     ScopedSpan span(tel, "verify");
-    (void)sharded->verify();
+    (void)sharded.verify();
     verified = true;
   }
-  const kern::GroupResult launch = sharded->multiply(x, y, x_generation);
+  // Upload-skip: a nonzero generation matching the cached one promises the
+  // same x contents, so the device copy is already current. The skip keeps
+  // the whole upload span out of the trace (tests pin that). Batches carry
+  // generation 0, so they always upload.
+  if (!sharded.x_current(x_generation)) {
+    ScopedSpan upload_span(tel, "upload");
+    sharded.upload(xs, x_generation);
+  }
+  const kern::GroupResult launch = sharded.launch(k);
   if (tel != nullptr) {
-    for (int d = 0; d < group->size(); ++d) {
-      const sim::Device& dev = group->device(d);
+    // Launch spans go in here, before the download span opens, so the
+    // stitched timeline keeps chronological order within the multiply.
+    for (int d = 0; d < group.size(); ++d) {
+      const sim::Device& dev = group.device(d);
       const std::vector<sim::ProfileReport>& profiles = dev.profile_log();
       tel->record_launches(dev.launch_log(), profiles.empty() ? nullptr : &profiles, d);
     }
   }
+  ScopedSpan download_span(tel, "download");
+  sharded.download(ys);
+  download_span.close();
 
   SpmvResult result;
   result.modeled_seconds = launch.modeled_seconds;
-  result.gflops = launch.modeled_seconds > 0 ? launch.gflops(matrix.nnz()) : 0.0;
+  result.gflops = launch.modeled_seconds > 0
+                      ? 2.0 * static_cast<double>(sharded.nnz()) * k /
+                            launch.modeled_seconds / 1e9
+                      : 0.0;
   result.stats = launch.stats;
   result.time = launch.time;
-  for (int d = 0; d < group->size(); ++d) {
-    const sim::Device& dev = group->device(d);
+  for (int d = 0; d < group.size(); ++d) {
+    const sim::Device& dev = group.device(d);
     result.sanitizer.merge(dev.sanitizer_log());
     result.profiles.insert(result.profiles.end(), dev.profile_log().begin(),
                            dev.profile_log().end());
-    result.device_profiles.push_back(dev.profile_log());
+    if (group.size() > 1) {
+      result.device_profiles.push_back(dev.profile_log());
+    }
   }
   if (tel != nullptr) {
     met::MetricsRegistry& reg = tel->metrics();
-    reg.counter("spaden_multiplies_total", tel->labels(), "Engine multiply calls").inc();
+    reg.counter("spaden_multiplies_total", tel->labels(), "Engine multiply calls").inc(k);
+    if (k > 1) {
+      reg.counter("spaden_batch_launches_total", tel->labels(),
+                  "Batched multiply_batch dispatches")
+          .inc();
+    }
     if (result.sanitizer.enabled) {
       reg.counter("spaden_sanitizer_findings_total", tel->labels(),
                   "spaden-sancheck findings across all multiplies")
@@ -176,160 +185,20 @@ kern::Method SpmvEngine::auto_select(const mat::Csr& a) {
 
 SpmvResult SpmvEngine::multiply(const std::vector<float>& x, std::vector<float>& y,
                                 std::uint64_t x_generation) {
-  SPADEN_REQUIRE(x.size() == impl_->matrix.ncols, "x size %zu != ncols %u", x.size(),
-                 impl_->matrix.ncols);
-  if (impl_->sharded != nullptr) {
-    return impl_->multiply_sharded(x, y, x_generation);
-  }
-  Telemetry* tel = impl_->telemetry.get();
-  ScopedSpan multiply_span(tel, "multiply");
-  if (impl_->options.verify_first_run && !impl_->verified) {
-    ScopedSpan span(tel, "verify");
-    (void)kern::verify_kernel(*impl_->kernel, impl_->device, impl_->matrix);
-    impl_->verified = true;
-  }
-  // Upload-skip: a nonzero generation matching the cached one promises the
-  // same x contents, so the device copy is already current. The skip keeps
-  // the whole upload span out of the trace (tests pin that).
-  const bool x_current = x_generation != 0 && x_generation == impl_->x_cache_gen;
-  if (!x_current) {
-    ScopedSpan upload_span(tel, "upload");
-    impl_->x_cache = impl_->device.memory().upload(x, "x");
-    impl_->x_cache_gen = x_generation;
-    upload_span.close();
-  }
-  auto y_buf = impl_->device.memory().alloc<float>(impl_->matrix.nrows, "y");
-  // The device logs accumulate across launches; clearing here scopes the
-  // reports to this multiply even for kernels that launch more than once.
-  impl_->device.clear_sanitizer_log();
-  impl_->device.clear_profile_log();
-  if (tel != nullptr) {
-    impl_->device.clear_launch_log();
-  }
-  // One logical multiply = one batch id, so multi-launch kernels group
-  // under a single span in the stitched trace.
-  impl_->device.set_batch_id(impl_->device.alloc_batch_id());
-  const sim::LaunchResult launch =
-      impl_->kernel->run(impl_->device, impl_->x_cache.cspan(), y_buf.span());
-  if (tel != nullptr) {
-    // Launch spans go in here, before the download span opens, so the
-    // stitched timeline keeps chronological order within the multiply.
-    const std::vector<sim::ProfileReport>& profiles = impl_->device.profile_log();
-    tel->record_launches(impl_->device.launch_log(),
-                         profiles.empty() ? nullptr : &profiles);
-  }
-  ScopedSpan download_span(tel, "download");
-  y = y_buf.host();
-  download_span.close();
-
-  SpmvResult result;
-  result.modeled_seconds = launch.seconds();
-  result.gflops = launch.gflops(impl_->matrix.nnz());
-  result.stats = launch.stats;
-  result.time = launch.time;
-  result.sanitizer = impl_->device.sanitizer_log();
-  result.profiles = impl_->device.profile_log();
-  if (tel != nullptr) {
-    met::MetricsRegistry& reg = tel->metrics();
-    reg.counter("spaden_multiplies_total", tel->labels(), "Engine multiply calls").inc();
-    if (result.sanitizer.enabled) {
-      reg.counter("spaden_sanitizer_findings_total", tel->labels(),
-                  "spaden-sancheck findings across all multiplies")
-          .inc(result.sanitizer.total());
-    }
-    multiply_span.set_modeled_seconds(result.modeled_seconds);
-  }
-  multiply_span.close();
-  return result;
+  const std::vector<float>* xp = &x;
+  std::vector<float>* yp = &y;
+  return impl_->run({&xp, 1}, {&yp, 1}, x_generation);
 }
 
-SpmvResult SpmvEngine::multiply_batch(const std::vector<const std::vector<float>*>& xs,
-                                      std::vector<std::vector<float>>& ys) {
-  const auto k = static_cast<mat::Index>(xs.size());
-  SPADEN_REQUIRE(k >= 1, "multiply_batch needs at least one right-hand side");
-  SPADEN_REQUIRE(impl_->sharded == nullptr,
-                 "multiply_batch runs on a single device (num_devices == 1); "
-                 "got %d devices",
-                 impl_->group != nullptr ? impl_->group->size() : impl_->options.num_devices);
-  for (const std::vector<float>* x : xs) {
-    SPADEN_REQUIRE(x != nullptr && x->size() == impl_->matrix.ncols,
-                   "batch x size != ncols %u", impl_->matrix.ncols);
-  }
-  Telemetry* tel = impl_->telemetry.get();
-  ScopedSpan batch_span(tel, "multiply_batch");
-  if (impl_->options.verify_first_run && !impl_->verified) {
-    ScopedSpan span(tel, "verify");
-    (void)kern::verify_kernel(*impl_->kernel, impl_->device, impl_->matrix);
-    impl_->verified = true;
-  }
-  ScopedSpan upload_span(tel, "upload");
-  // Column-major stack: RHS c occupies [c*ncols, (c+1)*ncols) — the layout
-  // run_multi demultiplexes back into contiguous per-request outputs.
-  const std::size_t ncols = impl_->matrix.ncols;
-  const std::size_t nrows = impl_->matrix.nrows;
-  std::vector<float> x_stack(static_cast<std::size_t>(k) * ncols);
-  for (std::size_t c = 0; c < xs.size(); ++c) {
-    std::copy(xs[c]->begin(), xs[c]->end(),
-              x_stack.begin() + static_cast<std::ptrdiff_t>(c * ncols));
-  }
-  auto x_buf = impl_->device.memory().upload(x_stack, "batch.x");
-  upload_span.close();
-  auto y_buf = impl_->device.memory().alloc<float>(static_cast<std::size_t>(k) * nrows,
-                                                   "batch.y");
-  impl_->device.clear_sanitizer_log();
-  impl_->device.clear_profile_log();
-  if (tel != nullptr) {
-    impl_->device.clear_launch_log();
-  }
-  const sim::LaunchResult launch =
-      impl_->kernel->run_multi(impl_->device, x_buf.cspan(), y_buf.span(), k);
-  if (tel != nullptr) {
-    const std::vector<sim::ProfileReport>& profiles = impl_->device.profile_log();
-    tel->record_launches(impl_->device.launch_log(),
-                         profiles.empty() ? nullptr : &profiles);
-  }
-  ScopedSpan download_span(tel, "download");
-  const std::vector<float>& y_host = y_buf.host();
+SpmvResult SpmvEngine::multiply(const std::vector<const std::vector<float>*>& xs,
+                                std::vector<std::vector<float>>& ys) {
   ys.resize(xs.size());
-  for (std::size_t c = 0; c < xs.size(); ++c) {
-    ys[c].assign(y_host.begin() + static_cast<std::ptrdiff_t>(c * nrows),
-                 y_host.begin() + static_cast<std::ptrdiff_t>((c + 1) * nrows));
+  std::vector<std::vector<float>*> outs;
+  outs.reserve(ys.size());
+  for (std::vector<float>& y : ys) {
+    outs.push_back(&y);
   }
-  download_span.close();
-
-  SpmvResult result;
-  result.modeled_seconds = launch.seconds();
-  result.gflops = 2.0 * static_cast<double>(impl_->matrix.nnz()) * k /
-                  result.modeled_seconds / 1e9;
-  result.stats = launch.stats;
-  result.time = launch.time;
-  result.sanitizer = impl_->device.sanitizer_log();
-  result.profiles = impl_->device.profile_log();
-  if (tel != nullptr) {
-    met::MetricsRegistry& reg = tel->metrics();
-    reg.counter("spaden_multiplies_total", tel->labels(), "Engine multiply calls").inc(k);
-    reg.counter("spaden_batch_launches_total", tel->labels(),
-                "Batched multiply_batch dispatches")
-        .inc();
-    if (result.sanitizer.enabled) {
-      reg.counter("spaden_sanitizer_findings_total", tel->labels(),
-                  "spaden-sancheck findings across all multiplies")
-          .inc(result.sanitizer.total());
-    }
-    batch_span.set_modeled_seconds(result.modeled_seconds);
-  }
-  batch_span.close();
-  return result;
-}
-
-SpmvResult SpmvEngine::multiply_batch(const std::vector<std::vector<float>>& xs,
-                                      std::vector<std::vector<float>>& ys) {
-  std::vector<const std::vector<float>*> ptrs;
-  ptrs.reserve(xs.size());
-  for (const std::vector<float>& x : xs) {
-    ptrs.push_back(&x);
-  }
-  return multiply_batch(ptrs, ys);
+  return impl_->run(xs, outs, 0);
 }
 
 void SpmvEngine::set_telemetry_label(std::string key, std::string value) {
@@ -338,22 +207,14 @@ void SpmvEngine::set_telemetry_label(std::string key, std::string value) {
   }
 }
 
-san::FormatReport SpmvEngine::check_format() const {
-  return impl_->sharded != nullptr ? impl_->sharded->check_format()
-                                   : impl_->kernel->check_format();
-}
-
-int SpmvEngine::num_devices() const {
-  return impl_->group != nullptr ? impl_->group->size() : 1;
-}
-
+san::FormatReport SpmvEngine::check_format() const { return impl_->sharded.check_format(); }
+int SpmvEngine::num_devices() const { return impl_->group.size(); }
 const Telemetry* SpmvEngine::telemetry() const { return impl_->telemetry.get(); }
-
 kern::Method SpmvEngine::chosen_method() const { return impl_->method; }
 const PrepInfo& SpmvEngine::prep() const { return impl_->prep; }
-const sim::DeviceSpec& SpmvEngine::device() const { return impl_->device.spec(); }
-mat::Index SpmvEngine::nrows() const { return impl_->matrix.nrows; }
-mat::Index SpmvEngine::ncols() const { return impl_->matrix.ncols; }
-std::size_t SpmvEngine::nnz() const { return impl_->matrix.nnz(); }
+const sim::DeviceSpec& SpmvEngine::device() const { return impl_->group.spec(); }
+mat::Index SpmvEngine::nrows() const { return impl_->sharded.nrows(); }
+mat::Index SpmvEngine::ncols() const { return impl_->sharded.ncols(); }
+std::size_t SpmvEngine::nnz() const { return impl_->sharded.nnz(); }
 
 }  // namespace spaden

@@ -8,10 +8,10 @@
 //   const auto result = engine.multiply(x, y);       // y = A*x
 //   std::cout << result.gflops << " modeled GFLOP/s\n";
 //
-// The engine owns a simulated device (L40 by default), converts the matrix
-// into the chosen method's format, verifies the kernel against a
-// double-precision host reference on first use, and reports modeled
-// performance with the full counter breakdown.
+// The engine owns a group of simulated devices (one L40 by default),
+// converts the matrix into the chosen method's format, verifies the kernel
+// against a double-precision host reference on first use, and reports
+// modeled performance with the full counter breakdown.
 #pragma once
 
 #include <memory>
@@ -37,12 +37,13 @@ struct EngineOptions {
   /// Host threads for kernel simulation. 0 = SPADEN_SIM_THREADS env var,
   /// falling back to hardware_concurrency; 1 = the exact serial launcher.
   int sim_threads = 0;
-  /// Simulated devices (gpusim/multidevice). 1 = the classic single-device
-  /// engine. > 1 row-shards the matrix across a DeviceGroup of this spec,
-  /// models the halo exchange of x over the spec's interconnect
-  /// (apply_link_preset / SPADEN_SIM_LINK), and concatenates the per-shard
-  /// outputs — bit-identical y to a single device for every deterministic
-  /// method. Defaults to the SPADEN_SIM_DEVICES env var (1 when unset).
+  /// Simulated devices (gpusim/multidevice): the size of the engine's
+  /// DeviceGroup of this spec. 1 runs the whole matrix on one device. > 1
+  /// row-shards it, models the halo exchange of x over the spec's
+  /// interconnect (apply_link_preset / SPADEN_SIM_LINK), and concatenates
+  /// the per-shard outputs — bit-identical y to a single device for every
+  /// deterministic method. Batched multiplies need 1. Defaults to the
+  /// SPADEN_SIM_DEVICES env var (1 when unset).
   int num_devices = sim::default_sim_devices();
   /// Run every launch under spaden-sancheck (memcheck + racecheck +
   /// sync-lint). Defaults to the SPADEN_SANCHECK env var. Findings land in
@@ -53,8 +54,8 @@ struct EngineOptions {
   /// SpmvResult::profiles; modeled time is unaffected.
   bool profile = sim::default_profile();
   /// Warp scheduling policy of the simulator (gpusim/sched): serial =
-  /// run-to-completion (bit-for-bit the classic launcher), rr / gto
-  /// interleave resident warps so the cache models see realistic access
+  /// run-to-completion (bit-for-bit the classic launcher), rr interleaves
+  /// resident warps round-robin so the cache models see realistic access
   /// streams and the latency model can expose uncovered stalls.
   /// SPADEN_SIM_SCHED wins when set (including "serial"); otherwise the
   /// engine defaults to rr with an occupancy-derived resident window.
@@ -124,16 +125,15 @@ class SpmvEngine {
   SpmvResult multiply(const std::vector<float>& x, std::vector<float>& y,
                       std::uint64_t x_generation = 0);
 
-  /// Batched multiply against the one prepared matrix: ys[i] = A*xs[i] for k
-  /// right-hand sides in a single fused launch where the method supports it
-  /// (Spaden's strided multi-RHS SpMM; other methods run per-column).
+  /// Batched multiply against the one prepared matrix: ys[i] = A*xs[i] for
+  /// k right-hand sides in a single fused launch where the method supports
+  /// it (Spaden's strided multi-RHS SpMM; other methods run per-column).
   /// Per-request outputs are bit-identical to k sequential multiply() calls.
   /// The returned result aggregates the whole batch (modeled seconds of the
-  /// fused launch, gflops counting 2*nnz*k useful flops).
-  SpmvResult multiply_batch(const std::vector<const std::vector<float>*>& xs,
-                            std::vector<std::vector<float>>& ys);
-  SpmvResult multiply_batch(const std::vector<std::vector<float>>& xs,
-                            std::vector<std::vector<float>>& ys);
+  /// fused launch, gflops counting 2*nnz*k useful flops). Batches of more
+  /// than one right-hand side need a single-device engine.
+  SpmvResult multiply(const std::vector<const std::vector<float>*>& xs,
+                      std::vector<std::vector<float>>& ys);
 
   /// Stamp an extra label dimension (e.g. serve's matrix handle) onto every
   /// metric this engine records from now on. No-op when telemetry is off.

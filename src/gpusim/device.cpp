@@ -79,13 +79,11 @@ std::vector<std::uint64_t> Device::partition_bounds(std::string_view name,
   // weights instead of a stale set.
   const std::vector<std::uint64_t>* weights = nullptr;
   std::uint64_t total_weight = 0;
-  if (partition_ == WarpPartition::NnzBalanced) {
-    const std::vector<std::uint64_t>& keyed = launch_warp_weights(name);
-    if (keyed.size() == num_warps) {
-      weights = &keyed;
-    } else if (warp_weights_.size() == num_warps) {
-      weights = &warp_weights_;
-    }
+  const std::vector<std::uint64_t>& keyed = launch_warp_weights(name);
+  if (keyed.size() == num_warps) {
+    weights = &keyed;
+  } else if (warp_weights_.size() == num_warps) {
+    weights = &warp_weights_;
   }
   if (weights != nullptr) {
     for (const std::uint64_t weight : *weights) {

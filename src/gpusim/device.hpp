@@ -21,9 +21,9 @@
 //    than the hardware's interleaved schedule, which gives the cache models
 //    mildly optimistic temporal locality. The warp scheduler
 //    (gpusim/sched, set_sched / SPADEN_SIM_SCHED / --sched) closes this:
-//    `rr` and `gto` interleave an occupancy-limited window of resident
+//    `rr` interleaves an occupancy-limited window of resident
 //    warps per virtual SM on stackful fibers, deterministic at a fixed
-//    thread count, and additionally model issue/latency cycles so stalls
+//    thread count, and additionally models issue/latency cycles so stalls
 //    nothing could cover feed estimate_time's t_stall term. `serial` (the
 //    raw-Device default; the engine defaults to rr + shared L2 since the
 //    recalibration) is the classic launcher bit-for-bit.
@@ -98,8 +98,8 @@ struct LaunchRecord {
   double t_launch = 0;         ///< fixed launch-overhead share of the above
   double host_seconds = 0;     ///< host wall-clock the simulator spent on it
   /// Logical-multiply tag (Device::set_batch_id): launches sharing an id
-  /// belong to one logical multiply, so multi-launch batches (one engine
-  /// multiply_batch over k right-hand sides) can be regrouped instead of
+  /// belong to one logical multiply, so multi-launch batches (one batched
+  /// engine multiply over k right-hand sides) can be regrouped instead of
   /// read as one flat launch sequence. 0 = untagged.
   std::uint64_t batch_id = 0;
 };
@@ -155,8 +155,8 @@ class Device {
   void set_sim_threads(int threads);
 
   /// Warp scheduling (gpusim/sched): policy Serial runs warps to completion
-  /// in grid order (the classic launcher, bit-for-bit); RoundRobin and Gto
-  /// interleave an occupancy-limited window of resident warps per virtual
+  /// in grid order (the classic launcher, bit-for-bit); RoundRobin
+  /// interleaves an occupancy-limited window of resident warps per virtual
   /// SM, giving the cache models realistic access streams. Deterministic at
   /// a fixed sim_threads() with the default slice L2.
   [[nodiscard]] const SchedConfig& sched() const { return sched_; }
@@ -169,16 +169,11 @@ class Device {
   [[nodiscard]] bool shared_l2() const { return shared_l2_on_; }
   void set_shared_l2(bool enabled) { shared_l2_on_ = enabled; }
 
-  /// How the parallel launcher splits the warp grid across virtual SMs.
-  /// NnzBalanced (the default) picks contiguous boundaries by warp-weight
-  /// prefix sums (weights from set_warp_weights); with no matching weights
-  /// it falls back to the contiguous equal-count split, so kernels that
-  /// install no weights behave exactly like Contiguous. RoundRobinStripe
-  /// spreads neighbouring warps across SMs (warp w on SM w mod T).
-  [[nodiscard]] WarpPartition partition() const { return partition_; }
-  void set_partition(WarpPartition partition) { partition_ = partition; }
-  /// Per-warp weights (e.g. nnz per warp) consumed by NnzBalanced. Used by
-  /// launches whose warp count equals weights.size(); ignored otherwise.
+  /// The parallel launcher splits the warp grid across virtual SMs into
+  /// contiguous ranges whose boundaries equalize warp-weight prefix sums
+  /// (nnz-balanced); with no matching weights it falls back to equal warp
+  /// counts. Per-warp weights (e.g. nnz per warp) are used by launches
+  /// whose warp count equals weights.size(); ignored otherwise.
   /// Kernels derive and install these in do_prepare (block-row popcounts
   /// for the bitmap formats, row extents for the CSR family), so the engine
   /// balances power-law matrices automatically.
@@ -384,9 +379,9 @@ class Device {
   void ensure_pool();
   /// Build (lazily) and return the shared L2 model.
   SharedL2* ensure_shared_l2();
-  /// Per-SM warp-range boundaries (t_count + 1 entries) for the configured
-  /// partition: contiguous equal-count chunks, or contiguous chunks whose
-  /// boundaries equalize the per-warp weight prefix sums (NnzBalanced).
+  /// Per-SM warp-range boundaries (t_count + 1 entries): contiguous chunks
+  /// whose boundaries equalize the per-warp weight prefix sums, or
+  /// equal-count chunks when no usable weights are installed.
   /// `name` selects launch-keyed weights before the global vector.
   [[nodiscard]] std::vector<std::uint64_t> partition_bounds(std::string_view name,
                                                             std::uint64_t num_warps) const;
@@ -401,11 +396,10 @@ class Device {
     (*static_cast<Kernel*>(kernel))(ctx, warp);
   }
 
-  /// Run warps {start + i*stride : i in [0, count)} on `ctx`: the classic
+  /// Run warps [start, start + count) on `ctx`: the classic
   /// run-to-completion loop for policy Serial, or the fiber scheduler for
-  /// rr/gto (which also models issue/latency cycles and charges exposed
-  /// stalls). stride 1 is a contiguous range; stride T the round-robin
-  /// stripe. `num_warps` is the full launch's warp count (window sizing).
+  /// rr (which also models issue/latency cycles and charges exposed
+  /// stalls). `num_warps` is the full launch's warp count (window sizing).
   /// Construct-or-reconfigure the pooled scheduler of virtual SM `sm`.
   /// launch() sized sched_pool_ before the workers started, so concurrent
   /// workers only ever touch their own element.
@@ -414,20 +408,19 @@ class Device {
     const int window = resident_window(spec_, sched_, num_warps);
     const double comm = remote_on_ ? comm_ready_cycles_ : 0;
     if (slot == nullptr) {
-      slot = std::make_unique<WarpScheduler>(sched_.policy, window, &timing_spec(), comm);
+      slot = std::make_unique<WarpScheduler>(window, &timing_spec(), comm);
     } else {
-      slot->reconfigure(sched_.policy, window, &timing_spec(), comm);
+      slot->reconfigure(window, &timing_spec(), comm);
     }
     return *slot;
   }
 
   template <typename Kernel>
-  void run_warps(WarpCtx& ctx, std::uint64_t start, std::uint64_t stride,
-                 std::uint64_t count, std::uint64_t num_warps, std::size_t sm_index,
-                 Kernel& kernel, SanShard* shard, ProfShard* pshard) {
+  void run_warps(WarpCtx& ctx, std::uint64_t start, std::uint64_t count,
+                 std::uint64_t num_warps, std::size_t sm_index, Kernel& kernel,
+                 SanShard* shard, ProfShard* pshard) {
     if (sched_.policy == SchedPolicy::Serial) {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t w = start + i * stride;
+      for (std::uint64_t w = start; w < start + count; ++w) {
         if (shard != nullptr) {
           shard->begin_warp(w);
         }
@@ -442,7 +435,7 @@ class Device {
     } else {
       using K = std::remove_reference_t<Kernel>;
       WarpScheduler& sched = pooled_scheduler(sm_index, num_warps);
-      sched.run(ctx, start, stride, count,
+      sched.run(ctx, start, count,
                 const_cast<void*>(static_cast<const void*>(std::addressof(kernel))),
                 &Device::invoke_kernel<K>);
     }
@@ -460,7 +453,7 @@ class Device {
     if (pshard != nullptr) {
       pshard->attach(&stats);
     }
-    run_warps(ctx, 0, 1, num_warps, num_warps, 0, kernel, shard, pshard);
+    run_warps(ctx, 0, num_warps, num_warps, 0, kernel, shard, pshard);
     if (pshard != nullptr) {
       pshard->finish();
     }
@@ -476,14 +469,12 @@ class Device {
     ensure_sms();
     ensure_pool();
     const auto t_count = static_cast<std::uint64_t>(threads_);
-    const bool stripe = partition_ == WarpPartition::RoundRobinStripe;
-    const std::vector<std::uint64_t> bounds =
-        stripe ? std::vector<std::uint64_t>{} : partition_bounds(name, num_warps);
+    const std::vector<std::uint64_t> bounds = partition_bounds(name, num_warps);
     const RemoteWindow* remote = remote_on_ ? &remote_window_ : nullptr;
     std::vector<KernelStats> local_stats(t_count);
     std::vector<std::exception_ptr> errors(t_count);
     pool_->run([this, &bounds, &kernel, &local_stats, &errors, shards, pshards, shared,
-                remote, stripe, t_count, num_warps](int worker) {
+                remote](int worker) {
       const auto t = static_cast<std::uint64_t>(worker);
       try {
         VirtualSm& sm = *sms_[t];
@@ -498,15 +489,8 @@ class Device {
         if (pshard != nullptr) {
           pshard->attach(&local_stats[t]);
         }
-        if (stripe) {
-          const std::uint64_t count =
-              num_warps > t ? (num_warps - t + t_count - 1) / t_count : 0;
-          run_warps(ctx, t, t_count, count, num_warps, static_cast<std::size_t>(t), kernel,
-                    shard, pshard);
-        } else {
-          run_warps(ctx, bounds[t], 1, bounds[t + 1] - bounds[t], bounds.back(),
-                    static_cast<std::size_t>(t), kernel, shard, pshard);
-        }
+        run_warps(ctx, bounds[t], bounds[t + 1] - bounds[t], bounds.back(),
+                  static_cast<std::size_t>(t), kernel, shard, pshard);
         if (pshard != nullptr) {
           pshard->finish();
         }
@@ -538,7 +522,6 @@ class Device {
   SchedConfig sched_ = default_sched();
   bool shared_l2_on_ = default_shared_l2();
   std::unique_ptr<SharedL2> shared_l2_;  // lazily built when enabled
-  WarpPartition partition_ = WarpPartition::NnzBalanced;
   std::vector<std::uint64_t> warp_weights_;
   /// Launch-name-keyed weight sets (set_launch_warp_weights); linear scan —
   /// kernels install at most a couple of entries.

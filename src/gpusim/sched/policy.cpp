@@ -15,8 +15,6 @@ const char* sched_policy_name(SchedPolicy p) {
       return "serial";
     case SchedPolicy::RoundRobin:
       return "rr";
-    case SchedPolicy::Gto:
-      return "gto";
   }
   return "?";
 }
@@ -28,10 +26,7 @@ SchedPolicy sched_policy_by_name(const std::string& name) {
   if (name == "rr") {
     return SchedPolicy::RoundRobin;
   }
-  if (name == "gto") {
-    return SchedPolicy::Gto;
-  }
-  SPADEN_REQUIRE(false, "unknown scheduling policy '%s' (expected serial|rr|gto)",
+  SPADEN_REQUIRE(false, "unknown scheduling policy '%s' (expected serial|rr)",
                  name.c_str());
   return SchedPolicy::Serial;  // unreachable
 }

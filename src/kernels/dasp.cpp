@@ -22,6 +22,7 @@
 
 #include "kernels/formats_device.hpp"
 #include "kernels/internal.hpp"
+#include "matrix/half_range.hpp"
 #include "tensorcore/wmma.hpp"
 
 namespace spaden::kern {
@@ -87,7 +88,8 @@ class DaspKernel final : public SpmvKernel {
               (static_cast<std::size_t>(group_ptr[g]) + k / kTileK) * kGroupRows * kTileK +
               static_cast<std::size_t>(i) * kTileK + k % kTileK;
           if (k < len) {
-            tile_val[slot] = half(a.val[begin + k]);
+            tile_val[slot] = mat::to_half_checked(a.val[begin + k], "DASP", row,
+                                                  a.col_idx[begin + k]);
             tile_col[slot] = a.col_idx[begin + k];
           } else {
             tile_col[slot] = pad_col;

@@ -95,9 +95,14 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
   kernels_.clear();
   sub_.resize(static_cast<std::size_t>(n));
   kernels_.resize(static_cast<std::size_t>(n));
+  // Buffer is move-only: clear + resize rather than assign.
   x_cache_.clear();
-  x_cache_.resize(static_cast<std::size_t>(n));  // Buffer is move-only
+  x_cache_.resize(static_cast<std::size_t>(n));
   x_cache_gen_ = 0;
+  batch_x_.clear();
+  batch_x_.resize(static_cast<std::size_t>(n));
+  y_.clear();
+  y_.resize(static_cast<std::size_t>(n));
 
   const std::uint32_t sector_bytes = group_->spec().sector_bytes;
   const std::uint64_t fps = sector_bytes / sizeof(float);
@@ -110,7 +115,7 @@ void ShardedSpmv::prepare(const mat::Csr& a) {
     ShardInfo& info = shards_[i];
     info.shard = plan[i];
     sub_[i] = extract_rows(a, info.shard.row_begin, info.shard.row_end);
-    if (!info.shard.empty()) {
+    if (!info.shard.empty() || n == 1) {  // a lone device runs even a 0-row matrix
       kernels_[i] = make_kernel(method_);
       kernels_[i]->prepare(group_->device(d), sub_[i]);
     }
@@ -183,13 +188,52 @@ san::FormatReport ShardedSpmv::check_format() const {
 
 GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float>& y,
                                   std::uint64_t x_generation) {
-  SPADEN_REQUIRE(x.size() == ncols_, "x size %zu != ncols %u", x.size(), ncols_);
+  const std::vector<float>* xp = &x;
+  std::vector<float>* yp = &y;
+  if (!x_current(x_generation)) {
+    upload({&xp, 1}, x_generation);
+  }
+  GroupResult result = launch(1);
+  download({&yp, 1});
+  return result;
+}
+
+void ShardedSpmv::upload(std::span<const std::vector<float>* const> xs,
+                         std::uint64_t x_generation) {
+  for (const std::vector<float>* x : xs) {
+    SPADEN_REQUIRE(x->size() == ncols_, "x size %zu != ncols %u", x->size(), ncols_);
+  }
+  std::vector<float> stack;
+  if (xs.size() > 1) {
+    stack.resize(xs.size() * ncols_);
+    for (std::size_t c = 0; c < xs.size(); ++c) {
+      std::copy(xs[c]->begin(), xs[c]->end(),
+                stack.begin() + static_cast<std::ptrdiff_t>(c * ncols_));
+    }
+  }
+  for (int d = 0; d < group_->size(); ++d) {
+    const auto i = static_cast<std::size_t>(d);
+    if (kernels_[i] == nullptr) {
+      continue;
+    }
+    sim::DeviceMemory& memory = group_->device(d).memory();
+    if (xs.size() == 1) {
+      x_cache_[i] = memory.upload(*xs[0], "x");
+    } else {
+      batch_x_[i] = memory.upload(stack, "batch.x");
+    }
+  }
+  if (xs.size() == 1) {
+    x_cache_gen_ = x_generation;
+  }
+}
+
+GroupResult ShardedSpmv::launch(mat::Index k) {
   const int n = group_->size();
-  y.assign(nrows_, 0.0f);
+  k_ = k;
   GroupResult result;
   result.shards = shards_;
   result.launches.reserve(static_cast<std::size_t>(n));
-  const bool x_current = x_generation != 0 && x_generation == x_cache_gen_;
   const std::uint32_t sector_bytes = group_->spec().sector_bytes;
   const std::uint64_t sectors = x_sector_count(ncols_, sector_bytes);
   int critical = -1;
@@ -197,7 +241,6 @@ GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float
   for (int d = 0; d < n; ++d) {
     const auto i = static_cast<std::size_t>(d);
     sim::Device& dev = group_->device(d);
-    // Scope the device logs to this multiply (mirrors SpmvEngine).
     dev.clear_sanitizer_log();
     dev.clear_profile_log();
     if (dev.launch_log_enabled()) {
@@ -207,15 +250,16 @@ GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float
       result.launches.emplace_back();  // empty shard: nothing launched
       continue;
     }
-    if (!x_current) {
-      x_cache_[i] = dev.memory().upload(x, "x");
-    }
-    auto y_buf = dev.memory().alloc<float>(shards_[i].shard.rows(), "y");
+    const sim::Buffer<float>& x = k == 1 ? x_cache_[i] : batch_x_[i];
+    y_[i] = dev.memory().alloc<float>(static_cast<std::size_t>(k) * shards_[i].shard.rows(),
+                                      k == 1 ? "y" : "batch.y");
+    // One logical multiply = one batch id, so multi-launch kernels group
+    // under a single span in the stitched trace.
     dev.set_batch_id(dev.alloc_batch_id());
     if (n > 1) {
       // Window the x buffer so the controller classifies remote sectors,
       // and gate those loads behind the modeled halo transfer.
-      const std::uint64_t addr = x_cache_[i].device_addr();
+      const std::uint64_t addr = x.device_addr();
       SPADEN_REQUIRE(addr % sector_bytes == 0, "x buffer not sector aligned");
       const OwnRange own = own_sectors(sectors, d, n);
       sim::RemoteWindow window;
@@ -227,7 +271,9 @@ GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float
       dev.set_comm_ready_cycles(group_->wire_cycles(shards_[i].halo_bytes,
                                                     shards_[i].peers));
     }
-    sim::LaunchResult launch = kernels_[i]->run(dev, x_cache_[i].cspan(), y_buf.span());
+    sim::LaunchResult launch = k == 1
+                                   ? kernels_[i]->run(dev, x.cspan(), y_[i].span())
+                                   : kernels_[i]->run_multi(dev, x.cspan(), y_[i].span(), k);
     if (n > 1) {
       dev.clear_remote_window();
       if (dev.sched().policy == sim::SchedPolicy::Serial &&
@@ -238,9 +284,6 @@ GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float
         launch.time.total += shards_[i].wire_seconds;
       }
     }
-    const std::vector<float>& y_host = y_buf.host();
-    std::copy(y_host.begin(), y_host.end(),
-              y.begin() + static_cast<std::ptrdiff_t>(shards_[i].shard.row_begin));
     result.stats += launch.stats;
     if (launch.time.total > result.modeled_seconds) {
       result.modeled_seconds = launch.time.total;
@@ -251,8 +294,28 @@ GroupResult ShardedSpmv::multiply(const std::vector<float>& x, std::vector<float
   if (critical >= 0) {
     result.time = result.launches[static_cast<std::size_t>(critical)].time;
   }
-  x_cache_gen_ = x_generation;
   return result;
+}
+
+void ShardedSpmv::download(std::span<std::vector<float>* const> ys) {
+  SPADEN_REQUIRE(ys.size() == k_, "download into %zu outputs, launched %u", ys.size(), k_);
+  for (std::vector<float>* y : ys) {
+    y->assign(nrows_, 0.0f);
+  }
+  for (std::size_t i = 0; i < kernels_.size(); ++i) {
+    if (kernels_[i] == nullptr) {
+      continue;
+    }
+    const std::vector<float>& host = y_[i].host();
+    const std::size_t rows = shards_[i].shard.rows();
+    for (std::size_t c = 0; c < ys.size(); ++c) {
+      const auto first = host.begin() + static_cast<std::ptrdiff_t>(c * rows);
+      std::copy(first, first + static_cast<std::ptrdiff_t>(rows),
+                ys[c]->begin() + static_cast<std::ptrdiff_t>(shards_[i].shard.row_begin));
+    }
+    y_[i] = {};
+    batch_x_[i] = {};
+  }
 }
 
 Footprint ShardedSpmv::footprint() const {

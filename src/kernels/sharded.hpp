@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpusim/multidevice.hpp"
@@ -109,9 +110,33 @@ class ShardedSpmv {
   /// y = A*x across the group; y is resized to nrows and is the
   /// concatenation of the per-shard outputs. `x_generation` follows
   /// SpmvEngine::multiply: a nonzero tag matching the previous call skips
-  /// the per-device x uploads.
+  /// the per-device x uploads. Runs the three phases below back to back.
   GroupResult multiply(const std::vector<float>& x, std::vector<float>& y,
                        std::uint64_t x_generation = 0);
+
+  // The phases of one multiply, for callers that instrument them one by
+  // one (SpmvEngine's upload / launch / download spans). A multiply takes k
+  // >= 1 right-hand sides; k > 1 runs on a one-device group only, because
+  // the halo model covers one x vector, not a strided stack of them.
+
+  /// True when a nonzero `x_generation` tags the x that the last
+  /// one-vector upload() staged, so that upload can be skipped.
+  [[nodiscard]] bool x_current(std::uint64_t x_generation) const {
+    return x_generation != 0 && x_generation == x_cache_gen_;
+  }
+  /// Stage the right-hand sides on every device that holds rows. One x
+  /// replaces the cached "x" buffer and tags it `x_generation`; k > 1 are
+  /// stacked column-major (RHS c at [c*ncols, (c+1)*ncols)) into a one-shot
+  /// "batch.x" buffer that leaves the cache alone.
+  void upload(std::span<const std::vector<float>* const> xs, std::uint64_t x_generation);
+  /// Run every shard against the staged x into fresh per-device y buffers:
+  /// SpmvKernel::run for k = 1, run_multi for k > 1. Each device's
+  /// sanitizer, profile and launch logs are cleared first, so afterwards
+  /// they hold exactly this multiply.
+  GroupResult launch(mat::Index k);
+  /// Copy the launched outputs into ys (k vectors, each resized to nrows)
+  /// and free the per-multiply device buffers.
+  void download(std::span<std::vector<float>* const> ys);
 
   [[nodiscard]] Method method() const { return method_; }
   [[nodiscard]] const std::vector<ShardInfo>& shards() const { return shards_; }
@@ -132,6 +157,9 @@ class ShardedSpmv {
   std::vector<std::unique_ptr<SpmvKernel>> kernels_;  ///< null for empty shards
   std::vector<sim::Buffer<float>> x_cache_;           ///< per-device x
   std::uint64_t x_cache_gen_ = 0;
+  std::vector<sim::Buffer<float>> batch_x_;  ///< per-device x stack (k > 1)
+  std::vector<sim::Buffer<float>> y_;        ///< per-device y of the last launch
+  mat::Index k_ = 1;                         ///< right-hand sides of the last launch
 };
 
 }  // namespace spaden::kern

@@ -78,7 +78,7 @@ class SpadenKernel final : public SpmvKernel {
     bitbsr_ = DeviceBitBsr::upload(device.memory(), bb);
     // Prepare-time hint: share the bitmap decode tables across all warps
     // and launches (modeled work is unchanged; see BitBsrDecodeCache).
-    decode_cache_.build_if_enabled(bb);
+    decode_cache_.build(bb);
   }
 
   sim::LaunchResult run(sim::Device& device, sim::DSpan<const float> x,

@@ -78,7 +78,7 @@ SpmmResult spmm_spaden(sim::Device& device, const mat::Csr& a, const mat::Dense&
   const mat::BitBsr bb_host = mat::BitBsr::from_csr(a);
   const DeviceBitBsr bb = DeviceBitBsr::upload(device.memory(), bb_host);
   BitBsrDecodeCache decode_cache;
-  decode_cache.build_if_enabled(bb_host);
+  decode_cache.build(bb_host);
   auto b_dev = device.memory().upload(b.data, "spmm.b");
   auto c_dev = device.memory().alloc<float>(static_cast<std::size_t>(a.nrows) * b.ncols, "spmm.c");
 

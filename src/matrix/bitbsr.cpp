@@ -9,6 +9,7 @@
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/parse.hpp"
+#include "matrix/half_range.hpp"
 
 namespace spaden::mat {
 
@@ -214,7 +215,7 @@ BitBsr BitBsr::from_csr(const Csr& a, int threads) {
           const unsigned pos = block_bit_index(local_r, local_c, kDim);
           const int rank = prefix_popcount(out.bitmap[cached_block], pos);
           out.values[out.val_offset[cached_block] + static_cast<Index>(rank)] =
-              half(a.val[i]);
+              to_half_checked(a.val[i], "bitBSR", r, a.col_idx[i]);
         }
       }
     }

@@ -5,6 +5,7 @@
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
+#include "matrix/half_range.hpp"
 
 namespace spaden::mat {
 
@@ -131,7 +132,7 @@ BitBsr16 BitBsr16::from_csr(const Csr& a) {
         const unsigned pos = lr * kDim + (a.col_idx[i] - bc * kDim);
         const int rank = prefix_popcount(out.bitmap[cached_block], pos);
         out.values[out.val_offset[cached_block] + static_cast<Index>(rank)] =
-            half(a.val[i]);
+            to_half_checked(a.val[i], "bitBSR16", r, a.col_idx[i]);
       }
     }
   }

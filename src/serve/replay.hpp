@@ -64,8 +64,7 @@ struct ReplayResult {
   std::string bench_json;  ///< BENCH_serve.json content (deterministic)
 
   /// METRICS_serve.json / .prom content (deterministic: serve metrics are
-  /// all modeled except the host_* series of wall-clock mode, which replay
-  /// never uses).
+  /// all modeled).
   [[nodiscard]] std::string metrics_json() const;
   [[nodiscard]] std::string metrics_prometheus() const;
 };

@@ -2,26 +2,20 @@
 //
 // Clients submit (handle, x) requests; the server groups pending requests
 // by matrix handle and dispatches each group as ONE multi-RHS SpMM launch
-// (SpmvEngine::multiply_batch -> Spaden's strided fused kernel) when the
+// (the batched SpmvEngine::multiply -> Spaden's strided fused kernel) when the
 // group reaches max_batch columns or its batching window expires, falling
 // back to the plain SpMV path for singletons. Per-request outputs are
 // demultiplexed from the SpMM result and are bit-identical to sequential
 // SpmvEngine::multiply calls — batching changes latency and throughput,
 // never numerics.
 //
-// Two execution modes share the policy:
-//
-//  * SpmvServer — deterministic virtual time. Requests carry modeled
-//    arrival timestamps; drain() replays them through an event loop where
-//    service times are the engine's modeled seconds and the (single,
-//    serializing) device becomes free at start + service. Everything —
-//    batch formation, queue/service latencies, requests/s — is a pure
-//    function of the submitted stream, so tests and benches byte-compare
-//    reports across host configurations.
-//  * AsyncServer — wall-clock mode for the CLI. A dispatcher thread forms
-//    batches under host-time windows; queue latencies are measured on the
-//    host clock (reported under host_* metric names), service stays
-//    modeled.
+// SpmvServer runs in deterministic virtual time. Requests carry modeled
+// arrival timestamps; drain() replays them through an event loop where
+// service times are the engine's modeled seconds and the (single,
+// serializing) device becomes free at start + service. Everything — batch
+// formation, queue/service latencies, requests/s — is a pure function of
+// the submitted stream, so tests and benches byte-compare reports across
+// host configurations.
 //
 // Batch-width observations go through the met::MetricsRegistry histogram
 // substrate, whose fixed log boundaries (1.78x apart) quantize widths just
@@ -29,16 +23,12 @@
 // docs/serving.md.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/timer.hpp"
 #include "serve/registry.hpp"
 
 namespace spaden::serve {
@@ -131,51 +121,18 @@ class SpmvServer {
   [[nodiscard]] const ServeConfig& config() const { return config_; }
 
  private:
-  friend class AsyncServer;
   struct Group {
     double deadline = 0;
     std::vector<Request> reqs;
   };
 
   void dispatch(std::vector<Request> reqs, double trigger_seconds, double& device_free,
-                ServeReport& report, bool host_clock);
+                ServeReport& report);
 
   MatrixRegistry& registry_;
   ServeConfig config_;
   met::MetricsRegistry metrics_;
   std::vector<Request> queue_;
-};
-
-/// Wall-clock server: a dispatcher thread forms batches under host-time
-/// windows. Queue latency is host-measured (host_* metrics); service stays
-/// modeled. finish() stops intake, drains the queue, joins the thread and
-/// returns the report (results sorted by id).
-class AsyncServer {
- public:
-  explicit AsyncServer(MatrixRegistry& registry, ServeConfig config = {});
-  ~AsyncServer();
-  AsyncServer(const AsyncServer&) = delete;
-  AsyncServer& operator=(const AsyncServer&) = delete;
-
-  /// Enqueue one request; returns its id. Thread-safe.
-  std::uint64_t submit(Handle handle, std::string tenant, std::vector<float> x);
-
-  [[nodiscard]] ServeReport finish();
-  [[nodiscard]] met::MetricsRegistry& metrics() { return inner_.metrics(); }
-
- private:
-  void worker();
-
-  SpmvServer inner_;
-  Timer timer_;  ///< host clock; arrivals/deadlines in seconds since start
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  std::map<Handle, SpmvServer::Group> pending_;
-  std::uint64_t next_id_ = 0;
-  double device_free_ = 0;
-  ServeReport report_;
-  bool stopping_ = false;
 };
 
 }  // namespace spaden::serve

@@ -2,6 +2,9 @@
 // preprocessing records.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
 
 #include "common/bitops.hpp"
@@ -96,6 +99,42 @@ TEST(Engine, MoveSemantics) {
   std::vector<float> x(a.ncols, 1.0f);
   std::vector<float> y;
   EXPECT_NO_THROW((void)moved.multiply(x, y));
+}
+
+TEST(Engine, OutOfHalfRangeValueRejectedAtConstruction) {
+  // 1e5 does not round to a finite binary16. The half-valued formats must
+  // refuse it while converting, naming the entry — not let it become inf in
+  // y, nor let first-run verification blame the kernel.
+  mat::Coo coo = mat::random_uniform(256, 256, 4000, 5);
+  coo.row.push_back(5);
+  coo.col.push_back(200);
+  coo.val.push_back(1e5f);
+  const mat::Csr a = mat::Csr::from_coo(coo);
+  const std::pair<kern::Method, std::string> formats[] = {
+      {kern::Method::Spaden, "bitBSR"},
+      {kern::Method::SpadenWide, "bitBSR16"},
+      {kern::Method::Dasp, "DASP"},
+  };
+  for (const auto& [method, format] : formats) {
+    for (const bool verify : {true, false}) {
+      SCOPED_TRACE(std::string(kern::method_name(method)) +
+                   (verify ? " verify_first_run" : " no verify"));
+      EngineOptions options;
+      options.method = method;
+      options.verify_first_run = verify;
+      try {
+        const SpmvEngine engine(a, options);
+        ADD_FAILURE() << "construction accepted an out-of-range value";
+      } catch (const Error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(format), std::string::npos) << msg;
+        EXPECT_NE(msg.find("(5, 200)"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("100000"), std::string::npos) << msg;
+      }
+    }
+  }
+  // fp32 methods have no binary16 contract.
+  EXPECT_NO_THROW((void)SpmvEngine(a, {.method = kern::Method::CusparseCsr}));
 }
 
 }  // namespace

@@ -16,36 +16,10 @@
 #include "kernels/bitbsr_decode.hpp"
 #include "kernels/kernel.hpp"
 #include "matrix/dataset.hpp"
+#include "matrix/generate.hpp"
 
 namespace spaden::kern {
 namespace {
-
-/// Scoped environment override that restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 struct RunOut {
   std::vector<float> y;
@@ -70,57 +44,43 @@ RunOut run_spaden(const mat::Csr& a, int threads = 1,
   return {y.host(), result.stats};
 }
 
-TEST(DecodeCache, EnvKillSwitchParses) {
-  {
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "0");
-    EXPECT_FALSE(BitBsrDecodeCache::enabled());
-  }
-  {
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "1");
-    EXPECT_TRUE(BitBsrDecodeCache::enabled());
-  }
-  {  // empty value = default = enabled
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "");
-    EXPECT_TRUE(BitBsrDecodeCache::enabled());
-  }
-}
-
-TEST(DecodeCache, DisabledCacheBuildsNothing) {
-  const mat::Csr a = mat::load_dataset("conf5", 0.005);
+TEST(DecodeCache, OnOffBitIdentical) {
+  // The determinism contract of BitBsrDecodeCache: on every block of a
+  // power-law matrix, the cached decode yields the same lane values and
+  // block column, and charges the same counters, as the per-bitmap decode
+  // (cache = nullptr, the reference path).
+  const mat::Csr a = mat::Csr::from_coo(mat::rmat(10, 8.0, 7));
   const mat::BitBsr bsr = mat::BitBsr::from_csr(a);
   BitBsrDecodeCache cache;
-  {
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "0");
-    cache.build_if_enabled(bsr);
-    EXPECT_TRUE(cache.empty());
-    EXPECT_EQ(cache.get(), nullptr);
-  }
-  {
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "1");
-    cache.build_if_enabled(bsr);
-    EXPECT_EQ(cache.empty(), bsr.num_blocks() == 0);
-  }
-}
+  cache.build(bsr);
+  ASSERT_NE(cache.get(), nullptr);
 
-TEST(DecodeCache, OnOffBitIdentical) {
-  // The determinism contract of BitBsrDecodeCache: the cached decode charges
-  // exactly the same counters and issues exactly the same loads as the
-  // per-bitmap decode, so modeled results and numerics are bit-identical
-  // with the cache on or off. enabled() is read per call, so flipping the
-  // env between prepare() calls flips the path actually taken.
-  const mat::Csr a = mat::load_dataset("conf5", 0.01);
-  RunOut with_cache;
-  RunOut without_cache;
-  {
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "1");
-    with_cache = run_spaden(a);
+  sim::Device device(sim::l40());
+  device.set_sim_threads(1);
+  const DeviceBitBsr dev = DeviceBitBsr::upload(device.memory(), bsr);
+  const std::size_t blocks = bsr.num_blocks();
+  auto decode_all = [&](const BitBsrDecodeCache* c, std::vector<DecodedBlock>& out) {
+    out.assign(blocks, DecodedBlock{});
+    device.flush_caches();
+    return device
+        .launch("decode", blocks,
+                [&](sim::WarpCtx& ctx, std::uint64_t w) {
+                  out[w] = decode_bitbsr_block(ctx, dev, static_cast<mat::Index>(w), c);
+                })
+        .stats;
+  };
+  std::vector<DecodedBlock> with_cache;
+  std::vector<DecodedBlock> without_cache;
+  EXPECT_EQ(decode_all(cache.get(), with_cache), decode_all(nullptr, without_cache));
+  for (std::size_t b = 0; b < blocks; ++b) {
+    ASSERT_EQ(with_cache[b].block_col, without_cache[b].block_col) << "block " << b;
+    for (std::size_t lane = 0; lane < sim::kWarpSize; ++lane) {
+      ASSERT_EQ(with_cache[b].a_val1[lane].bits(), without_cache[b].a_val1[lane].bits())
+          << "block " << b << " lane " << lane;
+      ASSERT_EQ(with_cache[b].a_val2[lane].bits(), without_cache[b].a_val2[lane].bits())
+          << "block " << b << " lane " << lane;
+    }
   }
-  {
-    const EnvGuard g("SPADEN_SIM_DECODE_CACHE", "0");
-    without_cache = run_spaden(a);
-  }
-  EXPECT_EQ(with_cache.y, without_cache.y);
-  EXPECT_EQ(with_cache.stats, without_cache.stats);
 }
 
 TEST(ArenaPooling, ReusedDeviceMatchesFreshDevice) {
@@ -171,24 +131,21 @@ TEST(ArenaPooling, ReusedDeviceMatchesFreshDevice) {
 
 TEST(CounterInvariance, WorkCountersStableAcrossThreadsAndPolicies) {
   // Partitioning warps over host threads must not change how much work is
-  // simulated, under either scheduling policy: per-warp work counters are
+  // simulated under the interleaving scheduler: per-warp work counters are
   // exact at any thread count (only latency-observation counters like
   // exposed_stall_cycles may legitimately depend on the partition).
   const mat::Csr a = mat::load_dataset("conf5", 0.01);
-  for (const sim::SchedConfig cfg :
-       {sim::SchedConfig{sim::SchedPolicy::RoundRobin, 8},
-        sim::SchedConfig{sim::SchedPolicy::Gto, 8}}) {
-    const sim::KernelStats serial = run_spaden(a, /*threads=*/1, cfg).stats;
-    const sim::KernelStats threaded = run_spaden(a, /*threads=*/4, cfg).stats;
-    EXPECT_EQ(serial.warps_launched, threaded.warps_launched);
-    EXPECT_EQ(serial.mem_instructions, threaded.mem_instructions);
-    EXPECT_EQ(serial.lane_loads, threaded.lane_loads);
-    EXPECT_EQ(serial.lane_stores, threaded.lane_stores);
-    EXPECT_EQ(serial.cuda_ops, threaded.cuda_ops);
-    EXPECT_EQ(serial.tc_mma_m16n16k16, threaded.tc_mma_m16n16k16);
-    EXPECT_EQ(serial.shuffle_lane_ops, threaded.shuffle_lane_ops);
-    EXPECT_EQ(serial.wavefronts, threaded.wavefronts);
-  }
+  const sim::SchedConfig cfg{sim::SchedPolicy::RoundRobin, 8};
+  const sim::KernelStats serial = run_spaden(a, /*threads=*/1, cfg).stats;
+  const sim::KernelStats threaded = run_spaden(a, /*threads=*/4, cfg).stats;
+  EXPECT_EQ(serial.warps_launched, threaded.warps_launched);
+  EXPECT_EQ(serial.mem_instructions, threaded.mem_instructions);
+  EXPECT_EQ(serial.lane_loads, threaded.lane_loads);
+  EXPECT_EQ(serial.lane_stores, threaded.lane_stores);
+  EXPECT_EQ(serial.cuda_ops, threaded.cuda_ops);
+  EXPECT_EQ(serial.tc_mma_m16n16k16, threaded.tc_mma_m16n16k16);
+  EXPECT_EQ(serial.shuffle_lane_ops, threaded.shuffle_lane_ops);
+  EXPECT_EQ(serial.wavefronts, threaded.wavefronts);
 }
 
 }  // namespace

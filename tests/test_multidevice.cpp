@@ -337,9 +337,9 @@ TEST(Engine, MultiDeviceRejectsBatch) {
   opts.method = kern::Method::CusparseCsr;
   opts.num_devices = 2;
   SpmvEngine engine(a, opts);
-  std::vector<std::vector<float>> xs(2, dense_x(a.ncols));
+  const std::vector<float> x = dense_x(a.ncols);
   std::vector<std::vector<float>> ys;
-  EXPECT_THROW(engine.multiply_batch(xs, ys), Error);
+  EXPECT_THROW(engine.multiply({&x, &x}, ys), Error);
 }
 
 // ---- launch-keyed warp weights (multi-launch kernels) --------------------

@@ -36,6 +36,15 @@ std::vector<float> random_x(mat::Index n, std::uint64_t seed) {
   return x;
 }
 
+/// The batched SpmvEngine::multiply takes the right-hand sides by pointer.
+std::vector<const std::vector<float>*> pointers(const std::vector<std::vector<float>>& xs) {
+  std::vector<const std::vector<float>*> out;
+  for (const std::vector<float>& x : xs) {
+    out.push_back(&x);
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------- registry
 
 TEST(ServeRegistry, PrepareHitEvictUnderTightBudget) {
@@ -172,7 +181,7 @@ TEST(ServeBatch, DemuxBitExactAcrossAllMethods) {
       (void)engine.multiply(xs[c], sequential[c]);
     }
     std::vector<std::vector<float>> batched;
-    (void)engine.multiply_batch(xs, batched);
+    (void)engine.multiply(pointers(xs), batched);
 
     ASSERT_EQ(batched.size(), sequential.size());
     for (mat::Index c = 0; c < kWidth; ++c) {
@@ -268,7 +277,7 @@ TEST(ServeEngineHooks, BatchIdsNestLaunchesUnderBatchSpans) {
   std::vector<std::vector<float>> xs = {random_x(64, 50), random_x(64, 51),
                                         random_x(64, 52)};
   std::vector<std::vector<float>> ys;
-  (void)engine.multiply_batch(xs, ys);
+  (void)engine.multiply(pointers(xs), ys);
 
   const std::vector<SpanRecord>& spans = engine.telemetry()->spans();
   int multiply_batch_span = -1;

@@ -4,6 +4,7 @@
 // configurations, and zero cost (bit-identical modeled time) when disabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,42 @@ TEST(EngineTelemetry, SpanTreePerMultiply) {
   EXPECT_NE(prom.find("spaden_launches_total{device=\"L40\",method=\"cuSPARSE CSR\"} " +
                       std::to_string(launches) + "\n"),
             std::string::npos);
+}
+
+TEST(EngineTelemetry, SpanTreeSameOnOneAndTwoDevices) {
+  // Every multiply emits multiply -> verify / upload / launches / download
+  // whatever the device count. A multi-device multiply has one launch span
+  // per device, so runs of identical launch spans collapse to one entry.
+  auto tree = [](int devices) {
+    const mat::Csr a = test_matrix();
+    EngineOptions options = base_options();
+    options.num_devices = devices;
+    options.profile = true;
+    SpmvEngine engine(a, options);
+    std::vector<float> x(a.ncols, 1.0f);
+    std::vector<float> y;
+    for (int i = 0; i < 2; ++i) {
+      const SpmvResult r = engine.multiply(x, y);
+      EXPECT_EQ(r.device_profiles.size(),
+                devices == 1 ? 0u : static_cast<std::size_t>(devices));
+    }
+    const std::vector<SpanRecord>& spans = engine.telemetry()->spans();
+    std::vector<std::string> shape;
+    for (const SpanRecord& s : spans) {
+      const std::string parent =
+          s.parent < 0 ? "" : spans[static_cast<std::size_t>(s.parent)].name;
+      const std::string entry = parent + ">" + s.name;
+      if (shape.empty() || shape.back() != entry) {
+        shape.push_back(entry);
+      }
+    }
+    return shape;
+  };
+  const std::vector<std::string> one = tree(1);
+  EXPECT_EQ(one, tree(2));
+  for (const char* phase : {"multiply>verify", "multiply>upload", "multiply>download"}) {
+    EXPECT_NE(std::find(one.begin(), one.end(), phase), one.end()) << phase;
+  }
 }
 
 TEST(EngineTelemetry, ModeledMetricsByteIdenticalAcrossSimThreads) {

@@ -13,8 +13,8 @@ BASELINE and CURRENT are either two spaden-bench-v1/-v2 files (the schemas
 mix freely — v2 only adds per-run host throughput fields), or two
 directories: in directory mode every BENCH_*.json in CURRENT is matched to
 the baseline file of the same name and diffed figure by figure (figures
-without runs, e.g. metric-only exports like sched_partition, compare their
-named metrics instead). A figure present on one side only is reported but
+without runs, i.e. metric-only exports, compare their named metrics
+instead). A figure present on one side only is reported but
 never fails the diff — new benches need one run to seed their baseline.
 
 --host-metrics additionally prints, per figure, the host-side simulator

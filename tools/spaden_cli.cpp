@@ -2,13 +2,13 @@
 //
 //   spaden info <matrix>                 structure + format recommendation
 //   spaden spmv <matrix> [--method M] [--device l40|v100] [--iters N] [--threads T]
-//               [--sched serial|rr|gto] [--shared-l2|--no-shared-l2]
+//               [--sched serial|rr] [--shared-l2|--no-shared-l2]
 //               [--sancheck] [--profile out.json] [--trace out.json]
 //               [--metrics out.prom] [--metrics-json out.json]
 //               [--engine-trace out.json]
 //   spaden verify <matrix>               spaden-verify every format conversion
 //   spaden convert <in.mtx> <out.mtx> [--reorder rcm|degree]
-//   spaden serve [--replay spec.json] [--wall-clock]
+//   spaden serve [--replay spec.json]
 //                                        batched SpMV serving replay (spaden-serve)
 //   spaden datasets                      list the Table 1 registry
 //   spaden probe                         print the §3 reverse-engineering grids
@@ -46,7 +46,7 @@ struct Args {
   int iters = 1;
   int threads = 0;  // 0 = SPADEN_SIM_THREADS / hardware default
   int devices = 0;  // --devices N; 0 = SPADEN_SIM_DEVICES / 1
-  std::string sched;  // --sched serial|rr|gto[:window]; "" = SPADEN_SIM_SCHED
+  std::string sched;  // --sched serial|rr[:window]; "" = SPADEN_SIM_SCHED
   int shared_l2 = -1;  // --shared-l2 / --no-shared-l2; -1 = engine default
   bool sancheck = false;
   std::string profile_out;  // --profile FILE: spaden-prof JSON report
@@ -55,7 +55,6 @@ struct Args {
   std::string metrics_json_out;  // --metrics-json FILE: spaden-metrics-v1 JSON
   std::string engine_trace_out;  // --engine-trace FILE: stitched host+device trace
   std::string replay_spec;       // --replay FILE: serve replay spec JSON
-  bool wall_clock = false;       // --wall-clock: AsyncServer host-time mode
 };
 
 Args parse(int argc, char** argv) {
@@ -111,8 +110,6 @@ Args parse(int argc, char** argv) {
       args.engine_trace_out = next("--engine-trace");
     } else if (a == "--replay") {
       args.replay_spec = next("--replay");
-    } else if (a == "--wall-clock") {
-      args.wall_clock = true;
     } else {
       args.positional.push_back(a);
     }
@@ -354,63 +351,9 @@ int cmd_serve(const Args& args) {
   serve::RegistryConfig rcfg;
   rcfg.engine.telemetry = rcfg.engine.telemetry || want_telemetry;
   rcfg.engine.profile = rcfg.engine.profile || !args.engine_trace_out.empty();
-  // Serving fuses requests with multiply_batch, which is single-device; a
+  // Serving fuses requests with a batched multiply, which is single-device; a
   // global SPADEN_SIM_DEVICES must not leak into the serve engines.
   rcfg.engine.num_devices = 1;
-
-  if (args.wall_clock) {
-    // AsyncServer: a dispatcher thread forms batches under host-time
-    // windows. No unbatched baseline (and so no demux check) — latencies
-    // are host-measured and land in the host_* metric series.
-    serve::MatrixRegistry registry(rcfg);
-    const auto handles = serve::register_matrices(spec, registry);
-    auto stream = serve::synthesize_stream(spec, registry, handles);
-    serve::ServeConfig scfg;
-    if (spec.max_batch != 0) {
-      scfg.max_batch = spec.max_batch;
-    }
-    if (spec.window_seconds >= 0) {
-      scfg.window_seconds = spec.window_seconds;
-    }
-    serve::AsyncServer server(registry, scfg);
-    for (serve::Request& req : stream) {
-      server.submit(req.handle, std::move(req.tenant), std::move(req.x));
-    }
-    const serve::ServeReport report = server.finish();
-    Table table({"Matrix", "Requests", "Batches", "Mean width", "p50 (host)", "p99 (host)"});
-    for (const auto& [h, agg] : report.per_matrix) {
-      met::LabelSet labels{{"matrix", agg.matrix}, {"method", agg.method}};
-      const met::Histogram& lat =
-          server.metrics().histogram("spaden_serve_host_latency_seconds", labels);
-      table.add_row({agg.matrix, std::to_string(agg.requests), std::to_string(agg.batches),
-                     fmt_double(static_cast<double>(agg.requests) /
-                                    static_cast<double>(agg.batches),
-                                2),
-                     fmt_double(lat.quantile(0.5) * 1e6, 1) + " us",
-                     fmt_double(lat.quantile(0.99) * 1e6, 1) + " us"});
-      (void)h;
-    }
-    std::fputs(table.to_string().c_str(), stdout);
-    std::printf("\n%llu requests in %llu batches (%llu fused), %s requests/s (host)\n",
-                static_cast<unsigned long long>(report.requests),
-                static_cast<unsigned long long>(report.batches),
-                static_cast<unsigned long long>(report.fused_batches),
-                fmt_si(report.requests_per_second).c_str());
-    if (!args.metrics_out.empty()) {
-      write_text_file(args.metrics_out, server.metrics().prometheus());
-      std::printf("wrote metrics exposition %s\n", args.metrics_out.c_str());
-    }
-    if (!args.metrics_json_out.empty()) {
-      JsonWriter w;
-      w.begin_object();
-      w.field("schema", met::kMetricsSchema);
-      server.metrics().write_json_sections(w, /*include_host=*/true);
-      w.end_object();
-      write_text_file(args.metrics_json_out, w.take());
-      std::printf("wrote metrics JSON %s\n", args.metrics_json_out.c_str());
-    }
-    return 0;
-  }
 
   // Deterministic virtual-time replay: batched vs unbatched, demux-checked.
   serve::MatrixRegistry registry(rcfg);
@@ -492,7 +435,7 @@ int main(int argc, char** argv) {
           "                                  by the modeled interconnect (default\n"
           "                                  SPADEN_SIM_DEVICES or 1; link preset from\n"
           "                                  SPADEN_SIM_LINK: nvlink|pcie)\n"
-          "                [--sched P]       warp scheduling: serial|rr|gto[:window]\n"
+          "                [--sched P]       warp scheduling: serial|rr[:window]\n"
           "                                  (default rr; serial = pre-recalibration mode)\n"
           "                [--shared-l2|--no-shared-l2]\n"
           "                                  shared set-sharded L2 vs per-SM slices\n"
@@ -513,7 +456,6 @@ int main(int argc, char** argv) {
           "                                    unbatched (exit 5 on demux mismatch);\n"
           "                                    honors --metrics/--metrics-json/\n"
           "                                    --engine-trace\n"
-          "        [--wall-clock]              serve on the host clock (AsyncServer)\n"
           "  datasets                          list the Table 1 registry\n"
           "  probe                             print the reverse-engineered layouts\n"
           "matrices: a .mtx path or a dataset name (--scale, default 0.25)\n");
