@@ -3,12 +3,9 @@
 // JSON export every figure bench emits (BENCH_<experiment>.json).
 #pragma once
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,8 +35,7 @@ inline const std::string& output_dir() {
   static const std::string dir = [] {
     const char* env = std::getenv("SPADEN_BENCH_DIR");
     std::string d = env != nullptr && env[0] != '\0' ? std::string(env) : ".";
-    std::error_code ec;
-    if (!std::filesystem::is_directory(d, ec) || ::access(d.c_str(), W_OK | X_OK) != 0) {
+    if (!writable_directory(d)) {
       std::fprintf(stderr,
                    "error: bench output directory '%s' (SPADEN_BENCH_DIR) is missing or "
                    "not writable\n",

@@ -123,22 +123,48 @@ void BM_SectorCacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_SectorCacheAccess);
 
-void BM_WmmaEmulation(benchmark::State& state) {
+/// Fragment shapes wmma_mma treats differently.
+enum class MmaShape {
+  Dense,          // every portion populated: the full 16x16x16 loop
+  SpadenPairing,  // two 8x8 blocks on the diagonal, x-segment broadcast in B (SpMV)
+  FusedSpmm,      // two 8x8 blocks on the diagonal, 8 distinct B columns (SpMM)
+};
+
+void BM_WmmaEmulation(benchmark::State& state, MmaShape shape) {
+  constexpr unsigned kMmasPerLaunch = 256;
   sim::Device device(sim::l40());
+  Rng rng(7);
   tc::FragA a;
   tc::FragB b;
-  tc::FragAcc acc;
-  a.fill(half(0.5f));
-  b.fill(half(0.25f));
+  tc::FragAcc acc;  // +0: accumulator rows start uniform
+  for (unsigned lane = 0; lane < tc::kLanes; ++lane) {
+    for (unsigned reg = 0; reg < tc::kRegsPerLane; ++reg) {
+      const bool diagonal = reg < 2 || reg >= 6;
+      if (shape != MmaShape::Dense && !diagonal) {
+        continue;  // off-diagonal portions stay +0
+      }
+      a.x(lane, reg) = half(rng.next_float(-1.0f, 1.0f));
+      // B lanes 0..3 hold column 0; the others repeat it when broadcast.
+      b.x(lane, reg) = shape == MmaShape::SpadenPairing && lane >= 4
+                           ? b.x(lane % 4, reg)
+                           : half(rng.next_float(-1.0f, 1.0f));
+    }
+  }
   for (auto _ : state) {
     device.launch("bm", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
-      tc::wmma_mma(ctx, acc, a, b, acc);
+      for (unsigned i = 0; i < kMmasPerLaunch; ++i) {
+        tc::wmma_mma(ctx, acc, a, b, acc);
+      }
     });
     benchmark::DoNotOptimize(acc.x(0, 0));
   }
-  state.SetItemsProcessed(state.iterations() * 16 * 16 * 16 * 2);
+  state.SetItemsProcessed(state.iterations() * kMmasPerLaunch);
+  state.counters["s_per_mma"] = benchmark::Counter(
+      kMmasPerLaunch, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_WmmaEmulation);
+BENCHMARK_CAPTURE(BM_WmmaEmulation, dense, MmaShape::Dense)->UseRealTime();
+BENCHMARK_CAPTURE(BM_WmmaEmulation, spaden_pairing, MmaShape::SpadenPairing)->UseRealTime();
+BENCHMARK_CAPTURE(BM_WmmaEmulation, fused_spmm, MmaShape::FusedSpmm)->UseRealTime();
 
 void BM_HostSpmvBitBsr(benchmark::State& state) {
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(2048, 2048, 65536, 6));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "analysis/experiment.hpp"
@@ -10,6 +11,7 @@
 #include "matrix/bitbsr.hpp"
 #include "matrix/bsr.hpp"
 #include "matrix/ell.hpp"
+#include "matrix/half_range.hpp"
 
 namespace spaden::analysis {
 
@@ -74,18 +76,28 @@ Recommendation recommend(const mat::Csr& a, const sim::DeviceSpec& device,
     }
   }
 
-  const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+  // bitBSR stores binary16: a value outside the half range rules it out,
+  // and converting would throw, so it is not converted.
+  const std::optional<mat::OutOfRangeEntry> outside = mat::first_outside_half_range(a);
   {
-    const double fill =
-        static_cast<double>(nnz) / (static_cast<double>(bb.bnnz()) * 64.0);
+    const std::vector<mat::Index> block_row_ptr = mat::bsr_block_row_ptr(a, 8);
+    const std::size_t bnnz = block_row_ptr.back();
+    const double fill = static_cast<double>(nnz) / (static_cast<double>(bnnz) * 64.0);
     rec.formats.push_back(
-        {"BSR 8x8",
-         per_nnz(bb.bnnz() * 256 + bb.bnnz() * 4 + bb.block_row_ptr.size() * 4, nnz),
+        {"BSR 8x8", per_nnz(bnnz * 256 + bnnz * 4 + block_row_ptr.size() * 4, nnz),
          fill > 0.5, strfmt("block fill %.0f%%", 100.0 * fill)});
-    rec.formats.push_back({"bitBSR", per_nnz(bb.footprint_bytes(), nnz), true,
-                           strfmt("half values; %.1f nnz/block",
-                                  static_cast<double>(nnz) /
-                                      static_cast<double>(bb.bnnz()))});
+    if (outside) {
+      rec.formats.push_back(
+          {"bitBSR", 0.0, false,
+           strfmt("half values, but entry (%u, %u) = %g does not round to a finite half",
+                  outside->row, outside->col, static_cast<double>(outside->value))});
+    } else {
+      const mat::BitBsr bb = mat::BitBsr::from_csr(a);
+      rec.formats.push_back({"bitBSR", per_nnz(bb.footprint_bytes(), nnz), true,
+                             strfmt("half values; %.1f nnz/block",
+                                    static_cast<double>(nnz) /
+                                        static_cast<double>(bb.bnnz()))});
+    }
   }
   std::stable_sort(rec.formats.begin(), rec.formats.end(),
                    [](const FormatAssessment& l, const FormatAssessment& r) {
@@ -101,6 +113,9 @@ Recommendation recommend(const mat::Csr& a, const sim::DeviceSpec& device,
   if (benchmark_methods) {
     for (const kern::Method m :
          {kern::Method::CusparseCsr, kern::Method::CusparseBsr, kern::Method::Spaden}) {
+      if (outside && kern::stores_half_values(m)) {
+        continue;
+      }
       const MethodRun run = run_method(device, m, a, "recommend");
       rec.methods.push_back({m, run.gflops});
     }

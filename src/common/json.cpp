@@ -1,8 +1,12 @@
 #include "common/json.hpp"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -169,6 +173,16 @@ void write_text_file(const std::string& path, std::string_view content) {
   const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
   const int rc = std::fclose(f);
   SPADEN_REQUIRE(written == content.size() && rc == 0, "short write to '%s'", path.c_str());
+}
+
+bool writable_directory(const std::string& dir) {
+  std::error_code ec;
+  return std::filesystem::is_directory(dir, ec) && ::access(dir.c_str(), W_OK | X_OK) == 0;
+}
+
+std::string parent_directory(const std::string& path) {
+  const std::string parent = std::filesystem::path(path).parent_path().string();
+  return parent.empty() ? "." : parent;
 }
 
 }  // namespace spaden

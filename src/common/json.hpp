@@ -68,4 +68,12 @@ class JsonWriter {
 /// write + close). Throws spaden::Error on IO failure.
 void write_text_file(const std::string& path, std::string_view content);
 
+/// True when `dir` is an existing directory this process may create files
+/// in. Output paths are checked with it before any work starts, so a typo
+/// fails in milliseconds instead of after the computation.
+[[nodiscard]] bool writable_directory(const std::string& dir);
+
+/// The directory a file written at `path` lands in ("." for a bare name).
+[[nodiscard]] std::string parent_directory(const std::string& path);
+
 }  // namespace spaden

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "kernels/sharded.hpp"
+#include "matrix/half_range.hpp"
 
 namespace spaden {
 
@@ -176,8 +177,9 @@ SpmvEngine& SpmvEngine::operator=(SpmvEngine&&) noexcept = default;
 
 kern::Method SpmvEngine::auto_select(const mat::Csr& a) {
   // Paper §5.1: "We suggest considering our approach for matrices with
-  // nrow > 10,000 and nnz/nrow > 32."
-  if (a.nrows > 10'000 && a.avg_degree() > 32.0) {
+  // nrow > 10,000 and nnz/nrow > 32." bitBSR stores binary16, so a matrix
+  // with a value outside the half range stays on fp32 CSR.
+  if (a.nrows > 10'000 && a.avg_degree() > 32.0 && !mat::first_outside_half_range(a)) {
     return kern::Method::Spaden;
   }
   return kern::Method::CusparseCsr;

@@ -157,7 +157,8 @@ class SpmvEngine {
   /// the stitched trace. Null unless EngineOptions::telemetry is set.
   [[nodiscard]] const Telemetry* telemetry() const;
 
-  /// The paper's method-selection heuristic (§5.1).
+  /// The paper's method-selection heuristic (§5.1), restricted to fp32
+  /// CSR when a value does not round to a finite half.
   static kern::Method auto_select(const mat::Csr& a);
 
  private:

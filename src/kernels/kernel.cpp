@@ -118,6 +118,11 @@ san::FormatReport SpmvKernel::check_format() const {
   return report;
 }
 
+bool stores_half_values(Method m) {
+  return m == Method::Spaden || m == Method::SpadenNoTc || m == Method::SpadenConventional ||
+         m == Method::SpadenUnpaired || m == Method::SpadenWide || m == Method::Dasp;
+}
+
 double spmv_tolerance(const mat::Csr& a, bool half_precision_values) {
   mat::Index max_row = 1;
   for (mat::Index r = 0; r < a.nrows; ++r) {
@@ -147,13 +152,8 @@ VerifyResult verify_kernel(SpmvKernel& kernel, sim::Device& device, const mat::C
   auto y_buf = device.memory().alloc<float>(a.nrows, "verify.y");
   (void)kernel.run(device, x_buf.cspan(), y_buf.span());
 
-  const bool half_values =
-      kernel.method() == Method::Spaden || kernel.method() == Method::SpadenNoTc ||
-      kernel.method() == Method::SpadenConventional ||
-      kernel.method() == Method::SpadenUnpaired ||
-      kernel.method() == Method::SpadenWide || kernel.method() == Method::Dasp;
   VerifyResult result;
-  result.tolerance = spmv_tolerance(a, half_values);
+  result.tolerance = spmv_tolerance(a, stores_half_values(kernel.method()));
   for (mat::Index r = 0; r < a.nrows; ++r) {
     const double err = std::abs(static_cast<double>(y_buf.host()[r]) - y_ref[r]);
     result.max_abs_err = std::max(result.max_abs_err, err);

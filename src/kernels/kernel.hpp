@@ -55,6 +55,11 @@ enum class Method {
 
 [[nodiscard]] std::string_view method_name(Method m);
 
+/// True for the methods whose format stores binary16 values (bitBSR,
+/// bitBSR16, DASP tiles); they reject a matrix whose values do not all
+/// round to a finite half (matrix/half_range.hpp).
+[[nodiscard]] bool stores_half_values(Method m);
+
 /// The methods compared in the paper's Figure 6 (performance), in plot
 /// order.
 [[nodiscard]] const std::vector<Method>& figure6_methods();

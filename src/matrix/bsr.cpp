@@ -43,23 +43,16 @@ void Bsr::validate() const {
   }
 }
 
-Bsr Bsr::from_csr(const Csr& a, Index block_dim) {
+std::vector<Index> bsr_block_row_ptr(const Csr& a, Index block_dim) {
   SPADEN_REQUIRE(block_dim > 0 && block_dim <= 64, "unsupported block_dim %u", block_dim);
-  Bsr out;
-  out.nrows = a.nrows;
-  out.ncols = a.ncols;
-  out.block_dim = block_dim;
-  out.brows = ceil_div(a.nrows, block_dim);
-  out.bcols = ceil_div(a.ncols, block_dim);
-  out.block_row_ptr.assign(static_cast<std::size_t>(out.brows) + 1, 0);
-
-  // Pass 1: count distinct block columns per block-row. A scratch "last
-  // seen" stamp avoids a set per row: within one block-row we sweep its
-  // block_dim CSR rows in column order per row, so the same block column can
-  // recur; stamp it with the block-row id.
-  std::vector<Index> stamp(out.bcols, ~Index{0});
-  std::vector<Index> scratch_cols;
-  for (Index br = 0; br < out.brows; ++br) {
+  const Index brows = ceil_div(a.nrows, block_dim);
+  std::vector<Index> block_row_ptr(static_cast<std::size_t>(brows) + 1, 0);
+  // Count distinct block columns per block-row. A scratch "last seen" stamp
+  // avoids a set per row: within one block-row we sweep its block_dim CSR
+  // rows in column order per row, so the same block column can recur; stamp
+  // it with the block-row id.
+  std::vector<Index> stamp(ceil_div(a.ncols, block_dim), ~Index{0});
+  for (Index br = 0; br < brows; ++br) {
     Index count = 0;
     const Index row_end = std::min<Index>((br + 1) * block_dim, a.nrows);
     for (Index r = br * block_dim; r < row_end; ++r) {
@@ -71,15 +64,28 @@ Bsr Bsr::from_csr(const Csr& a, Index block_dim) {
         }
       }
     }
-    out.block_row_ptr[br + 1] = out.block_row_ptr[br] + count;
+    block_row_ptr[br + 1] = block_row_ptr[br] + count;
   }
+  return block_row_ptr;
+}
+
+Bsr Bsr::from_csr(const Csr& a, Index block_dim) {
+  Bsr out;
+  out.nrows = a.nrows;
+  out.ncols = a.ncols;
+  out.block_dim = block_dim;
+  // Pass 1: block-row offsets (validates block_dim).
+  out.block_row_ptr = bsr_block_row_ptr(a, block_dim);
+  out.brows = ceil_div(a.nrows, block_dim);
+  out.bcols = ceil_div(a.ncols, block_dim);
 
   const std::size_t nblocks = out.block_row_ptr.back();
   out.block_col.resize(nblocks);
   out.val.assign(nblocks * out.block_elems(), 0.0f);
 
   // Pass 2: fill block columns (sorted per block-row) and scatter values.
-  std::fill(stamp.begin(), stamp.end(), ~Index{0});
+  std::vector<Index> stamp(out.bcols, ~Index{0});
+  std::vector<Index> scratch_cols;
   std::vector<Index> slot_of(out.bcols, 0);
   for (Index br = 0; br < out.brows; ++br) {
     scratch_cols.clear();

@@ -40,6 +40,11 @@ struct Bsr {
   [[nodiscard]] Csr to_csr() const;
 };
 
+/// Block-row offsets of `a` tiled into block_dim x block_dim blocks, as in
+/// Bsr::block_row_ptr: back() is the number of blocks holding at least one
+/// stored entry. Needs only the sparsity structure, not the values.
+[[nodiscard]] std::vector<Index> bsr_block_row_ptr(const Csr& a, Index block_dim);
+
 std::vector<float> spmv_host(const Bsr& a, const std::vector<float>& x);
 
 }  // namespace spaden::mat

@@ -12,4 +12,15 @@ void throw_half_range(const char* format, Index row, Index col, float value) {
              format, row, col, static_cast<double>(value)));
 }
 
+std::optional<OutOfRangeEntry> first_outside_half_range(const Csr& a) {
+  for (Index r = 0; r < a.nrows; ++r) {
+    for (Index i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
+      if (!rounds_to_finite_half(a.val[i])) {
+        return OutOfRangeEntry{r, a.col_idx[i], a.val[i]};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace spaden::mat

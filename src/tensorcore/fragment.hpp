@@ -59,8 +59,9 @@ struct Coord {
 [[nodiscard]] Coord frag_coord(FragUse use, unsigned lane, unsigned reg);
 
 /// All 256 frag_coord results for one use, indexed lane * kRegsPerLane + reg.
-/// The interpreter's hot paths (to_matrix/from_matrix, wmma_mma) walk this
-/// table instead of re-deriving the mapping per element.
+/// to_matrix/from_matrix and the reference MMA (wmma_mma_reference) walk this
+/// table instead of re-deriving the mapping per element; the structure-aware
+/// wmma_mma reads registers by portion and needs no table.
 struct FragCoordTable {
   std::array<Coord, kLanes * kRegsPerLane> at;
 };
@@ -87,6 +88,13 @@ class Fragment {
     SPADEN_ASSERT(lane < kLanes && reg < kRegsPerLane, "fragment register out of range");
     return x_[lane][reg];
   }
+
+  /// Every register of every lane, indexed [lane][reg], without x()'s
+  /// bounds check — for emulation code that walks whole portions.
+  [[nodiscard]] const std::array<std::array<T, kRegsPerLane>, kLanes>& regs() const {
+    return x_;
+  }
+  [[nodiscard]] std::array<std::array<T, kRegsPerLane>, kLanes>& regs() { return x_; }
 
   void fill(T value) {
     for (auto& lane : x_) {

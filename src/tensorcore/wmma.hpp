@@ -4,7 +4,9 @@
 //   wmma_load  — populate a fragment from (device) memory, modeling the
 //                conventional staging path through shared memory;
 //   wmma_mma   — D = A*B + C on the tensor core (m16n16k16, half in,
-//                float accumulate);
+//                float accumulate); bit-exact against the full loop
+//                (wmma_mma_reference) but skips the zero portions and
+//                repeated columns of Spaden's block-diagonal fragments;
 //   wmma_store — write an accumulator fragment back to memory.
 //
 // Spaden's kernels bypass wmma_load/wmma_store using direct register access
@@ -33,8 +35,21 @@ void wmma_store(sim::WarpCtx& ctx, sim::DSpan<float> dst, std::size_t offset,
 
 /// Tensor-core MMA: d = a*b + c (m16n16k16). Inputs are binary16, products
 /// and accumulation are fp32, matching mixed-precision tensor-core numerics.
+/// Every bit of d equals wmma_mma_reference's. When the fragments are block
+/// diagonal the way Spaden pairs two 8x8 blocks (paper §4.3) — A's and B's
+/// off-diagonal portions +0, their diagonal halves finite, C's off-diagonal
+/// elements finite and not -0 — every off-diagonal product is a signed zero
+/// that leaves its sum unchanged, so only the two diagonal 8x8x8 chains are
+/// computed, and one column of a portion when B's columns and C's rows
+/// repeat (the SpMV broadcast). Anything else runs the reference loop.
+/// `d` may alias `c`. Counts one tc_mma_m16n16k16 either way.
 void wmma_mma(sim::WarpCtx& ctx, FragAcc& d, const FragA& a, const FragB& b,
               const FragAcc& c);
+
+/// The full 16x16x16 loop: each d element is c plus its 16 products added in
+/// ascending k order. wmma_mma's fallback and the oracle its tests compare
+/// against bit for bit; charges nothing. `d` may alias `c`.
+void wmma_mma_reference(FragAcc& d, const FragA& a, const FragB& b, const FragAcc& c);
 
 /// 8x8x4 MMA used by the DASP baseline (Volta's mma.sync.m8n8k4 shape):
 /// d8x8 += a8x4 * b4x8 with half inputs and float accumulation. Operands are

@@ -137,5 +137,26 @@ TEST(Engine, OutOfHalfRangeValueRejectedAtConstruction) {
   EXPECT_NO_THROW((void)SpmvEngine(a, {.method = kern::Method::CusparseCsr}));
 }
 
+TEST(Engine, OutOfHalfRangeMatrixAutoSelectsCsr) {
+  // Shaped for Spaden by §5.1 (12,000 rows, 40 nnz/row), but one value does
+  // not round to a finite binary16: the default engine must pick fp32 CSR
+  // and multiply, not throw while converting to bitBSR.
+  mat::Coo coo = mat::random_uniform(12'000, 12'000, 480'000, 9);
+  ASSERT_EQ(SpmvEngine::auto_select(mat::Csr::from_coo(coo)), kern::Method::Spaden);
+  coo.row.push_back(7);
+  coo.col.push_back(11'000);
+  coo.val.push_back(1e5f);
+  const mat::Csr a = mat::Csr::from_coo(coo);
+  EXPECT_EQ(SpmvEngine::auto_select(a), kern::Method::CusparseCsr);
+
+  SpmvEngine engine(a);  // verify_first_run: the multiply is checked too
+  EXPECT_EQ(engine.chosen_method(), kern::Method::CusparseCsr);
+  const std::vector<float> x(a.ncols, 1.0f);
+  std::vector<float> y;
+  (void)engine.multiply(x, y);
+  ASSERT_EQ(y.size(), a.nrows);
+  EXPECT_GT(y[7], 9e4f);
+}
+
 }  // namespace
 }  // namespace spaden

@@ -66,6 +66,32 @@ TEST(Recommend, SummaryMentionsEveryFormat) {
   EXPECT_NE(s.find("recommended method"), std::string::npos);
 }
 
+TEST(Recommend, OutOfHalfRangeValueRulesOutHalfValuedFormats) {
+  // bitBSR cannot hold 1e5: it is marked unsuitable with a note naming the
+  // entry (not converted, which would throw), and benchmarking skips the
+  // half-valued methods.
+  mat::Coo coo = mat::random_uniform(256, 256, 4000, 5);
+  coo.row.push_back(5);
+  coo.col.push_back(200);
+  coo.val.push_back(1e5f);
+  const mat::Csr a = mat::Csr::from_coo(coo);
+  const Recommendation rec = recommend(a, sim::l40(), /*benchmark_methods=*/true);
+  const auto bitbsr = std::find_if(rec.formats.begin(), rec.formats.end(),
+                                   [](const FormatAssessment& f) { return f.format == "bitBSR"; });
+  ASSERT_NE(bitbsr, rec.formats.end());
+  EXPECT_FALSE(bitbsr->suitable);
+  EXPECT_NE(bitbsr->note.find("(5, 200)"), std::string::npos) << bitbsr->note;
+  EXPECT_NE(bitbsr->note.find("100000"), std::string::npos) << bitbsr->note;
+  EXPECT_NE(std::find_if(rec.formats.begin(), rec.formats.end(),
+                         [](const FormatAssessment& f) { return f.format == "BSR 8x8"; }),
+            rec.formats.end());
+  ASSERT_EQ(rec.methods.size(), 2u);
+  for (const MethodAssessment& m : rec.methods) {
+    EXPECT_FALSE(kern::stores_half_values(m.method)) << kern::method_name(m.method);
+  }
+  EXPECT_FALSE(kern::stores_half_values(rec.best_method));
+}
+
 TEST(Recommend, EmptyMatrixRejected) {
   mat::Csr empty;
   empty.nrows = 4;

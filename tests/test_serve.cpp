@@ -89,6 +89,26 @@ TEST(ServeRegistry, MethodFollowsRecommendation) {
   EXPECT_EQ(reg.acquire(h).chosen_method(), rec.heuristic_method);
 }
 
+TEST(ServeRegistry, OutOfHalfRangeMatrixServedOnCsr) {
+  // A Spaden-shaped matrix (§5.1) with one value binary16 cannot hold is
+  // registered, prepared and multiplied on fp32 CSR instead of failing in
+  // the recommendation's bitBSR conversion.
+  mat::Coo coo = mat::random_uniform(12'000, 12'000, 480'000, 9);
+  coo.row.push_back(7);
+  coo.col.push_back(11'000);
+  coo.val.push_back(1e5f);
+  const mat::Csr a = mat::Csr::from_coo(coo);
+  serve::MatrixRegistry reg;
+  const serve::Handle h = reg.add("wide-range", a);
+  EXPECT_EQ(reg.method_of(h), kern::Method::CusparseCsr);
+  SpmvEngine& engine = reg.acquire(h);
+  EXPECT_EQ(engine.chosen_method(), kern::Method::CusparseCsr);
+  std::vector<float> y;
+  (void)engine.multiply(std::vector<float>(a.ncols, 1.0f), y);
+  ASSERT_EQ(y.size(), a.nrows);
+  EXPECT_GT(y[7], 9e4f);
+}
+
 // ------------------------------------------------------------ batch former
 
 TEST(ServeServer, SizeAndWindowTriggersInVirtualTime) {

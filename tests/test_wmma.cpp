@@ -1,6 +1,10 @@
 // WMMA emulation: load/store/MMA numerics and charging.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 
 #include "common/rng.hpp"
@@ -75,11 +79,211 @@ TEST(Wmma, MmaWithZeroOffDiagonalBlocksKeepsBlocksIndependent) {
   dev.launch("mma", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
     wmma_mma(ctx, acc, a, b, acc);
   });
+  // Compared as bit patterns, so a -0 where +0 belongs fails too.
   const auto dm = acc.to_matrix();
-  EXPECT_EQ(dm[0][0], 8.0f * 1.0f * 3.0f);    // TL·TL
-  EXPECT_EQ(dm[15][15], 8.0f * 2.0f * 5.0f);  // BR·BR
-  EXPECT_EQ(dm[0][15], 0.0f);                 // cross terms vanish
-  EXPECT_EQ(dm[15][0], 0.0f);
+  for (unsigned i = 0; i < kFragDim; ++i) {
+    for (unsigned j = 0; j < kFragDim; ++j) {
+      float want = 0.0f;                 // cross terms vanish
+      if (i < 8 && j < 8) {
+        want = 8.0f * 1.0f * 3.0f;       // TL·TL
+      } else if (i >= 8 && j >= 8) {
+        want = 8.0f * 2.0f * 5.0f;       // BR·BR
+      }
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(dm[i][j]), std::bit_cast<std::uint32_t>(want))
+          << i << "," << j;
+    }
+  }
+}
+
+// --- wmma_mma against wmma_mma_reference, bit for bit -----------------------
+
+constexpr std::uint16_t kHalfNegZero = 0x8000u;
+constexpr std::uint16_t kHalfInf = 0x7C00u;
+constexpr std::uint16_t kHalfNan = 0x7E00u;
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// Finite halves, heavy on the values whose products and sums are easy to
+/// get wrong: ±0, subnormals, the extremes.
+half finite_half(spaden::Rng& rng) {
+  switch (rng.next_below(8)) {
+    case 0:
+      return half::from_bits(rng.next_bool(0.5) ? 0 : kHalfNegZero);
+    case 1:  // subnormal, either sign
+      return half::from_bits(static_cast<std::uint16_t>(
+          (rng.next_bool(0.5) ? kHalfNegZero : 0u) | (1u + rng.next_below(0x3FF))));
+    case 2:
+      return rng.next_bool(0.5) ? half::max() : -half::max();
+    default:
+      return half(rng.next_float(-4.0f, 4.0f));
+  }
+}
+
+/// Accumulator values for the diagonal portions: anything, including -0,
+/// NaN, ±Inf and magnitudes the chain overflows from.
+float any_float(spaden::Rng& rng) {
+  switch (rng.next_below(10)) {
+    case 0:
+      return rng.next_bool(0.5) ? 0.0f : -0.0f;
+    case 1:
+      return rng.next_bool(0.5) ? kInf : -kInf;
+    case 2:
+      return std::numeric_limits<float>::quiet_NaN();
+    case 3:
+      return rng.next_bool(0.5) ? std::numeric_limits<float>::max()
+                                : -std::numeric_limits<float>::max();
+    case 4:
+      return std::numeric_limits<float>::denorm_min();
+    default:
+      return rng.next_float(-100.0f, 100.0f);
+  }
+}
+
+/// Off-diagonal accumulator values the fast path accepts: finite, not -0.
+float offdiag_float(spaden::Rng& rng) {
+  for (;;) {
+    const float v = any_float(rng);
+    if (std::isfinite(v) && std::bit_cast<std::uint32_t>(v) != 0x8000'0000u) {
+      return v;
+    }
+  }
+}
+
+struct MmaCase {
+  FragA a;
+  FragB b;
+  FragAcc c;
+};
+
+constexpr unsigned kDiagRegs[] = {0, 1, 6, 7};
+constexpr unsigned kOffDiagRegs[] = {2, 3, 4, 5};
+
+float signed_zero(spaden::Rng& rng) { return rng.next_bool(0.5) ? 0.0f : -0.0f; }
+
+/// Block-diagonal operands as Spaden pairs them: off-diagonal A and B halves
+/// +0. With `broadcast`, each diagonal B portion repeats one column and each
+/// C row within a diagonal portion repeats one value, as in the SpMV kernel.
+/// With `zeros`, the diagonal A, B and C values are all ±0, so that many
+/// results hinge on whether -0 + +0 was added where the reference adds it.
+MmaCase block_diagonal_case(spaden::Rng& rng, bool broadcast, bool zeros) {
+  MmaCase m;
+  for (unsigned lane = 0; lane < kLanes; ++lane) {
+    for (const unsigned reg : kDiagRegs) {
+      m.a.x(lane, reg) = zeros ? half(signed_zero(rng)) : finite_half(rng);
+      // B lane `lane` holds column lane/4: lanes 0..3 hold column 0.
+      m.b.x(lane, reg) = broadcast && lane >= 4 ? m.b.x(lane % 4, reg)
+                         : zeros               ? half(signed_zero(rng))
+                                               : finite_half(rng);
+      // C lane `lane` holds row lane/4: lane lane&~3, reg0 is its first entry.
+      const unsigned reg0 = reg & ~1u;
+      const bool first = (lane % 4) == 0 && reg == reg0;
+      m.c.x(lane, reg) = broadcast && !first ? m.c.x(lane & ~3u, reg0)
+                         : zeros             ? signed_zero(rng)
+                                             : any_float(rng);
+    }
+    for (const unsigned reg : kOffDiagRegs) {
+      m.c.x(lane, reg) = offdiag_float(rng);
+    }
+  }
+  return m;
+}
+
+void expect_bitwise_equal(const FragAcc& got, const FragAcc& want, const char* what,
+                          unsigned trial) {
+  for (unsigned lane = 0; lane < kLanes; ++lane) {
+    for (unsigned reg = 0; reg < kRegsPerLane; ++reg) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got.x(lane, reg)),
+                std::bit_cast<std::uint32_t>(want.x(lane, reg)))
+          << what << " trial " << trial << " lane " << lane << " reg " << reg;
+    }
+  }
+}
+
+/// One random (lane, reg) among `regs`.
+std::pair<unsigned, unsigned> pick(spaden::Rng& rng, const unsigned (&regs)[4]) {
+  return {static_cast<unsigned>(rng.next_below(kLanes)), regs[rng.next_below(4)]};
+}
+
+TEST(Wmma, MmaMatchesReferenceBitForBit) {
+  // Every fragment shape wmma_mma distinguishes: eligible block-diagonal
+  // with and without column broadcast, a broadcast broken in B or in C
+  // alone, each single condition that must send it to the full loop, and d
+  // aliasing c. All 256 accumulator bit patterns must equal the reference
+  // loop's.
+  using Mutate = void (*)(spaden::Rng&, MmaCase&);
+  const std::pair<const char*, Mutate> mutations[] = {
+      {"eligible", [](spaden::Rng&, MmaCase&) {}},
+      {"offdiag A nonzero",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kOffDiagRegs);
+         m.a.x(l, r) = rng.next_bool(0.5) ? half::from_bits(kHalfNegZero) : half(1.5f);
+       }},
+      {"offdiag B nonzero",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kOffDiagRegs);
+         m.b.x(l, r) = rng.next_bool(0.5) ? half::from_bits(kHalfNegZero) : half(-0.75f);
+       }},
+      {"offdiag C -0",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kOffDiagRegs);
+         m.c.x(l, r) = -0.0f;
+       }},
+      {"offdiag C NaN",
+       [](spaden::Rng& rng, MmaCase& m) {
+         // Adding +0 quiets a signaling NaN, so C cannot be copied through.
+         const auto [l, r] = pick(rng, kOffDiagRegs);
+         m.c.x(l, r) = rng.next_bool(0.5) ? std::numeric_limits<float>::quiet_NaN()
+                                          : std::numeric_limits<float>::signaling_NaN();
+       }},
+      {"offdiag C Inf",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kOffDiagRegs);
+         m.c.x(l, r) = rng.next_bool(0.5) ? kInf : -kInf;
+       }},
+      {"diag B column differs",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const unsigned lane = 4 + static_cast<unsigned>(rng.next_below(kLanes - 4));
+         const unsigned reg = kDiagRegs[rng.next_below(4)];
+         m.b.x(lane, reg) = half::from_bits(m.b.x(lane, reg).bits() ^ kHalfNegZero);
+       }},
+      {"diag C row differs",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kDiagRegs);
+         m.c.x(l, r) = std::bit_cast<float>(std::bit_cast<std::uint32_t>(m.c.x(l, r)) ^
+                                            0x8000'0000u);
+       }},
+      {"diag A Inf/NaN",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kDiagRegs);
+         m.a.x(l, r) = half::from_bits(rng.next_bool(0.5) ? kHalfInf : kHalfNan);
+       }},
+      {"diag B Inf/NaN",
+       [](spaden::Rng& rng, MmaCase& m) {
+         const auto [l, r] = pick(rng, kDiagRegs);
+         m.b.x(l, r) = half::from_bits(rng.next_bool(0.5) ? kHalfInf : kHalfNan);
+       }},
+  };
+  spaden::Rng rng(20241);
+  auto dev = make_device();
+  dev.launch("mma-diff", 1, [&](sim::WarpCtx& ctx, std::uint64_t) {
+    for (unsigned trial = 0; trial < 200; ++trial) {
+      for (const auto& [what, mutate] : mutations) {
+        MmaCase m = block_diagonal_case(rng, /*broadcast=*/trial % 2 == 0,
+                                        /*zeros=*/trial % 4 >= 2);
+        mutate(rng, m);
+        FragAcc want;
+        wmma_mma_reference(want, m.a, m.b, m.c);
+        FragAcc got;
+        wmma_mma(ctx, got, m.a, m.b, m.c);
+        expect_bitwise_equal(got, want, what, trial);
+        FragAcc aliased = m.c;
+        wmma_mma(ctx, aliased, m.a, m.b, aliased);
+        expect_bitwise_equal(aliased, want, what, trial);
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  });
 }
 
 TEST(Wmma, LoadStoreRoundTrip) {

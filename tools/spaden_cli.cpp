@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/recommend.hpp"
@@ -115,6 +116,31 @@ Args parse(int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// Exit status when an output path cannot be written (documented in the
+/// usage text and README).
+constexpr int kExitOutputPath = 6;
+
+/// Checks every output path of `spmv` and `serve` right after argument
+/// parsing — the directory each file lands in must exist and be writable,
+/// the rule bench::output_dir() applies to SPADEN_BENCH_DIR — so a typo
+/// fails before any matrix is synthesized. Returns false after printing an
+/// error naming the flag and the path.
+bool output_paths_writable(const Args& args) {
+  const std::pair<const char*, const std::string*> outputs[] = {
+      {"--profile", &args.profile_out},          {"--trace", &args.trace_out},
+      {"--metrics", &args.metrics_out},          {"--metrics-json", &args.metrics_json_out},
+      {"--engine-trace", &args.engine_trace_out},
+  };
+  for (const auto& [flag, path] : outputs) {
+    if (!path->empty() && !writable_directory(parent_directory(*path))) {
+      std::fprintf(stderr, "error: %s '%s': directory '%s' is missing or not writable\n", flag,
+                   path->c_str(), parent_directory(*path).c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 mat::Csr load_matrix(const std::string& name, double scale) {
@@ -456,12 +482,18 @@ int main(int argc, char** argv) {
           "                                    unbatched (exit 5 on demux mismatch);\n"
           "                                    honors --metrics/--metrics-json/\n"
           "                                    --engine-trace\n"
+          "  spmv and serve exit 6, before any work, when the directory of an\n"
+          "  output path (--profile/--trace/--metrics/--metrics-json/--engine-trace)\n"
+          "  is missing or not writable\n"
           "  datasets                          list the Table 1 registry\n"
           "  probe                             print the reverse-engineered layouts\n"
           "matrices: a .mtx path or a dataset name (--scale, default 0.25)\n");
       return 2;
     }
     const std::string& cmd = args.positional[0];
+    if ((cmd == "spmv" || cmd == "serve") && !output_paths_writable(args)) {
+      return kExitOutputPath;
+    }
     if (cmd == "info") {
       return cmd_info(args);
     }
