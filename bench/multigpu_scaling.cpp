@@ -77,7 +77,6 @@ analysis::MethodRun run_method_multi(const sim::DeviceSpec& spec, kern::Method m
     return analysis::run_method(spec, method, a, matrix_name);
   }
   sim::DeviceGroup group(spec, num_devices);
-  group.set_sched(sim::default_engine_sched());
   group.set_shared_l2(sim::default_engine_shared_l2());
   kern::ShardedSpmv sharded(group, method);
 

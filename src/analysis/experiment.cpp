@@ -11,10 +11,9 @@ namespace spaden::analysis {
 MethodRun run_method(const sim::DeviceSpec& spec, kern::Method method, const mat::Csr& a,
                      const std::string& matrix_name) {
   sim::Device device(spec);
-  // Figures run under the engine defaults (rr + shared L2 unless the
-  // SPADEN_SIM_SCHED / SPADEN_SIM_SHARED_L2 env vars say otherwise), so the
-  // headline numbers and the SpmvEngine agree.
-  device.set_sched(sim::default_engine_sched());
+  // Figures run under the engine's L2 default (shared unless the
+  // SPADEN_SIM_SHARED_L2 env var says otherwise), so the headline numbers
+  // and the SpmvEngine agree.
   device.set_shared_l2(sim::default_engine_shared_l2());
   auto kernel = kern::make_kernel(method);
   kernel->prepare(device, a);

@@ -11,9 +11,9 @@
 //    and the *fixed boundary table*. Two runs whose observations land in the
 //    same buckets therefore export byte-identical documents even when the
 //    raw values drift slightly — this is what makes modeled-time metrics
-//    comparable across SPADEN_SIM_THREADS and scheduler policies, whose
-//    modeled seconds agree to ~1% (tools/calibrate_sched.py) while the
-//    bucket boundaries are a factor of 10^(1/4) ≈ 1.78 apart.
+//    comparable across SPADEN_SIM_THREADS, whose modeled seconds agree to
+//    ~1% (the L2 model follows the thread count, docs/performance_model.md)
+//    while the bucket boundaries are a factor of 10^(1/4) ≈ 1.78 apart.
 //  * Host-wall-clock metrics are segregated by name: anything containing
 //    "host" (the PR-6 `host_warps_per_sec` precedent, and span metrics like
 //    `spaden_convert_host_seconds`) is excluded from the deterministic

@@ -35,7 +35,7 @@ struct EngineOptions {
   sim::DeviceSpec device = sim::l40();
   bool verify_first_run = true;         ///< check against fp64 reference once
   /// Host threads for kernel simulation. 0 = SPADEN_SIM_THREADS env var,
-  /// falling back to hardware_concurrency; 1 = the exact serial launcher.
+  /// falling back to hardware_concurrency.
   int sim_threads = 0;
   /// Simulated devices (gpusim/multidevice): the size of the engine's
   /// DeviceGroup of this spec. 1 runs the whole matrix on one device. > 1
@@ -53,17 +53,16 @@ struct EngineOptions {
   /// Defaults to the SPADEN_PROFILE env var. Reports land in
   /// SpmvResult::profiles; modeled time is unaffected.
   bool profile = sim::default_profile();
-  /// Warp scheduling policy of the simulator (gpusim/sched): serial =
-  /// run-to-completion (bit-for-bit the classic launcher), rr interleaves
-  /// resident warps round-robin so the cache models see realistic access
-  /// streams and the latency model can expose uncovered stalls.
-  /// SPADEN_SIM_SCHED wins when set (including "serial"); otherwise the
-  /// engine defaults to rr with an occupancy-derived resident window.
-  sim::SchedConfig sched = sim::default_engine_sched();
+  /// Warp scheduling of the simulator (gpusim/sched): resident warps
+  /// interleave round-robin so the cache models see realistic access
+  /// streams and the latency model can expose uncovered stalls. The
+  /// resident window defaults to the occupancy-derived one; `window` pins
+  /// it (1 = each warp runs to completion in grid order).
+  sim::SchedConfig sched = sim::default_sched();
   /// Model the L2 as one shared set-sharded cache across virtual SMs
   /// instead of per-SM capacity slices. SPADEN_SIM_SHARED_L2 wins when set
   /// (including "0"); otherwise the engine defaults to the shared L2 the
-  /// interleaved timing constants were calibrated for.
+  /// timing constants were calibrated for.
   bool shared_l2 = sim::default_engine_shared_l2();
   /// Run spaden-verify (matrix/verify.hpp) over the uploaded device-resident
   /// format right after prepare() and throw spaden::Error on any structural

@@ -20,11 +20,11 @@
 // Determinism contract (tested): modeled-time metrics are a pure function
 // of the bucket counts and the fixed boundary table in common/metrics, so
 // `metrics_json(include_host=false)` is byte-identical across
-// SPADEN_SIM_THREADS and scheduler policies whose modeled times agree to
-// within a bucket; host wall-clock lives under the segregated host
-// namespace. Telemetry follows the zero-cost-when-disabled contract: the
-// engine holds a null pointer, every hook is one null test, and modeled
-// time is bit-identical with telemetry on or off.
+// SPADEN_SIM_THREADS values whose modeled times agree to within a bucket;
+// host wall-clock lives under the segregated host namespace. Telemetry
+// follows the zero-cost-when-disabled contract: the engine holds a null
+// pointer, every hook is one null test, and modeled time is bit-identical
+// with telemetry on or off.
 #pragma once
 
 #include <cstdint>

@@ -55,6 +55,19 @@ class SectorCache {
     return false;
   }
 
+  /// Whether `line` is resident. Touches neither LRU state nor counters, so
+  /// concurrent readers are safe while nobody probes.
+  [[nodiscard]] bool contains_line(std::uint64_t line) const {
+    const std::uint64_t* tags =
+        tags_.data() + (line & set_mask_) * static_cast<std::uint64_t>(ways_);
+    for (int w = 0; w < ways_; ++w) {
+      if (tags[w] == line) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   /// Hint the host CPU to pull the set holding `line` into its cache. The
   /// classification loop in MemoryController::access knows every sector it
   /// will probe before the first probe, and on big-L2 devices the tag and

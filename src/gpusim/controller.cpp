@@ -43,6 +43,14 @@ MemoryController::MemoryController(SectorCache* l1, SectorCache* l2, KernelStats
                  l2->sector_bytes());
 }
 
+inline bool MemoryController::probe_l2(std::uint64_t sector) {
+  if (shared_l2_ == nullptr) {
+    return l2_->access_line(sector);
+  }
+  return participant_ < 0 ? shared_l2_->access_sector(sector)
+                          : shared_l2_->probe(participant_, sector);
+}
+
 void MemoryController::touch_sector(std::uint64_t sector, bool is_store) {
   // Every unique sector of a warp instruction is one LSU wavefront (replay).
   ++stats_->wavefronts;
@@ -54,9 +62,7 @@ void MemoryController::touch_sector(std::uint64_t sector, bool is_store) {
     return;
   }
   ++stats_->sectors;
-  const bool hit =
-      shared_l2_ != nullptr ? shared_l2_->access_sector(sector) : l2_->access_line(sector);
-  if (hit) {
+  if (probe_l2(sector)) {
     stats_->l2_hit_bytes += sector_bytes_;
   } else {
     // A load miss fetches the sector from DRAM; a store miss eventually
@@ -162,7 +168,7 @@ void MemoryController::access(const std::array<std::uint64_t, kWarpSize>& addrs,
       ++l1_hits;
       continue;
     }
-    if (shared_l2_ != nullptr ? shared_l2_->access_sector(s) : l2_->access_line(s)) {
+    if (probe_l2(s)) {
       ++l2_hits;
     } else {
       ++dram;

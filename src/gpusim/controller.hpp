@@ -48,7 +48,12 @@ class MemoryController {
   /// Route L2 probes to a shared set-sharded L2 instead of this
   /// controller's private L2 (null = private; the private cache still
   /// defines the sector geometry). Opt-in via Device::set_shared_l2.
-  void set_shared_l2(SharedL2* shared) { shared_l2_ = shared; }
+  /// `participant` >= 0 probes through that participant's epochs of a
+  /// concurrent launch (SharedL2::probe); -1 owns the cache outright.
+  void set_shared_l2(SharedL2* shared, int participant = -1) {
+    shared_l2_ = shared;
+    participant_ = participant;
+  }
 
   /// Classify accesses against a halo window (null = everything local, the
   /// single-device fast path — no extra work in the probe loops).
@@ -72,10 +77,13 @@ class MemoryController {
 
  private:
   void touch_sector(std::uint64_t sector_addr, bool is_store);
+  /// Probe the L2 this controller routes to; true on hit.
+  bool probe_l2(std::uint64_t sector);
 
   SectorCache* l1_;
   SectorCache* l2_;
   SharedL2* shared_l2_ = nullptr;
+  int participant_ = -1;
   const RemoteWindow* remote_ = nullptr;
   KernelStats* stats_;
   std::uint32_t sector_bytes_;

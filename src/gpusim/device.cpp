@@ -45,22 +45,18 @@ bool default_engine_shared_l2() {
   if (env != nullptr && env[0] != '\0') {
     return std::strcmp(env, "0") != 0;  // env always wins, including "0"
   }
-  // Pair the L2 model with the scheduling default: interleaved scheduling
-  // was calibrated against the shared set-sharded L2, while an explicit
-  // SPADEN_SIM_SCHED=serial keeps the pre-recalibration slice L2 so serial
-  // runs stay bit-for-bit reproducible against historical outputs.
-  return default_engine_sched().policy != SchedPolicy::Serial;
+  return true;
 }
 
 SharedL2* Device::ensure_shared_l2() {
   if (shared_l2_ == nullptr) {
-    // Stripes only matter for lock disjointness, so build the cache flat
-    // (one stripe, one contiguous tag array — much friendlier to the host
-    // memory system) when this device simulates on a single thread.
-    // Classification is stripe-count-invariant; the count is decided once,
-    // at the first launch that needs the cache, so warmed state survives
-    // later launches. A device switched to T>1 after warming a flat cache
-    // stays correct — every thread then contends on the single stripe lock.
+    // Stripes only split the epoch replay among simulation threads, so
+    // build the cache flat (one stripe, one contiguous tag array — much
+    // friendlier to the host memory system) when this device simulates on
+    // a single thread. Classification is stripe-count-invariant; the count
+    // is decided once, at the first launch that needs the cache, so warmed
+    // state survives later launches. A device switched to T>1 after warming
+    // a flat cache stays correct — one thread then replays every epoch.
     const std::uint64_t max_stripes = threads_ == 1 ? 1 : SharedL2::kMaxStripes;
     shared_l2_ = std::make_unique<SharedL2>(spec_.l2_capacity_bytes, spec_.l2_ways,
                                             spec_.sector_bytes, max_stripes);

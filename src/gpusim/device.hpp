@@ -12,32 +12,25 @@
 // model, a private slice of the L2 model, a private MemoryController and
 // private KernelStats. Per-thread stats are merged after the join, so
 // estimate_time sees the same aggregate counters either way. The thread
-// count comes from SPADEN_SIM_THREADS (default: hardware_concurrency);
-// threads=1 runs the original serial path bit-for-bit — one persistent L1/L2
-// pair in grid order, exactly the pre-parallel launcher.
+// count comes from SPADEN_SIM_THREADS (default: hardware_concurrency).
+//
+// Within a virtual SM the warp scheduler (gpusim/sched) interleaves an
+// occupancy-limited window of resident warps on stackful fibers, switching
+// at memory operations, and models issue/latency cycles so stalls nothing
+// could cover feed estimate_time's t_stall term. The window is derived from
+// the launch's occupancy unless set_sched pins it; a window of one warp runs
+// each warp to completion in grid order.
 //
 // Fidelity notes (documented limitations, see docs/performance_model.md):
-//  * By default warps run to completion in grid order within a chunk rather
-//    than the hardware's interleaved schedule, which gives the cache models
-//    mildly optimistic temporal locality. The warp scheduler
-//    (gpusim/sched, set_sched / SPADEN_SIM_SCHED / --sched) closes this:
-//    `rr` interleaves an occupancy-limited window of resident
-//    warps per virtual SM on stackful fibers, deterministic at a fixed
-//    thread count, and additionally models issue/latency cycles so stalls
-//    nothing could cover feed estimate_time's t_stall term. `serial` (the
-//    raw-Device default; the engine defaults to rr + shared L2 since the
-//    recalibration) is the classic launcher bit-for-bit.
 //  * With T>1 threads the L2 is modeled as T private capacity slices of
-//    size capacity/T rather than one shared array (the deterministic
-//    alternative to a shared locked cache, whose hit pattern would depend
-//    on thread interleaving). Counters are deterministic at a fixed T but
-//    drift slightly from the serial launcher's; threads=1 reproduces the
-//    serial counters exactly. The opt-in shared set-sharded L2
-//    (set_shared_l2 / SPADEN_SIM_SHARED_L2 / --shared-l2) instead models
-//    one L2 shared by every virtual SM behind striped locks: cross-SM
-//    reuse of x becomes visible to the model at the price of run-to-run
-//    counter wobble at T>1 (numerics stay exact; at T=1 it matches the
-//    monolithic cache bit-for-bit).
+//    size capacity/T rather than one shared array. Counters are
+//    deterministic at a fixed T but drift slightly from the one-thread
+//    counters. The shared set-sharded L2 (set_shared_l2 /
+//    SPADEN_SIM_SHARED_L2 / --shared-l2; the engine default) instead models
+//    one L2 shared by every virtual SM, so cross-SM reuse of x is visible to
+//    the model. At T>1 the SMs share it in epochs replayed in SM order
+//    (gpusim/shared_l2.hpp), which keeps it deterministic at a fixed T; at
+//    T=1 it matches the monolithic cache bit-for-bit.
 #pragma once
 
 #include <algorithm>
@@ -81,9 +74,9 @@ namespace spaden::sim {
 
 /// Shared-L2 default for SpmvEngine devices: SPADEN_SIM_SHARED_L2 wins when
 /// set (including "0" to force slices), otherwise the shared set-sharded L2
-/// is ON — the configuration the interleaved timing constants were
-/// calibrated for (tools/calibrate_sched.py). Raw Device construction keeps
-/// the conservative default_shared_l2() (off unless the env asks).
+/// is ON — the configuration the timing constants were calibrated for. Raw
+/// Device construction keeps the conservative default_shared_l2() (off
+/// unless the env asks).
 [[nodiscard]] bool default_engine_shared_l2();
 
 /// One entry of the Device's opt-in launch log (spaden-telemetry): the
@@ -126,46 +119,28 @@ class Device {
  public:
   explicit Device(DeviceSpec spec)
       : spec_(std::move(spec)),
-        ilv_spec_(spec_),
         l1_(spec_.l1_capacity_bytes, spec_.l1_ways, spec_.sector_bytes),
         l2_(spec_.l2_capacity_bytes, spec_.l2_ways, spec_.sector_bytes),
         controller_(&l1_, &l2_, &scratch_stats_),
-        threads_(default_sim_threads()) {
-    ilv_spec_.lsu_wavefronts_per_cycle = spec_.lsu_wavefronts_per_cycle_ilv;
-    ilv_spec_.cuda_issue_efficiency = spec_.cuda_issue_efficiency_ilv;
-  }
+        threads_(default_sim_threads()) {}
 
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
 
-  /// The spec the timing model should read constants from: spec_ as-is for
-  /// the serial policy, or a copy with the interleaved-calibrated issue
-  /// constants (lsu_wavefronts_per_cycle_ilv / cuda_issue_efficiency_ilv)
-  /// swapped in when warps interleave — the scheduler then charges latency
-  /// exposure explicitly, so the serial constants' implicit latency derating
-  /// must not be applied twice. Kernels that assemble multi-launch results
-  /// by hand should call estimate_time with this, not spec().
-  [[nodiscard]] const DeviceSpec& timing_spec() const {
-    return sched_.policy == SchedPolicy::Serial ? spec_ : ilv_spec_;
-  }
-
   [[nodiscard]] DeviceMemory& memory() { return memory_; }
 
-  /// Host threads used to execute launches. 1 = the exact serial launcher.
+  /// Host threads used to execute launches (one virtual SM each).
   [[nodiscard]] int sim_threads() const { return threads_; }
   void set_sim_threads(int threads);
 
-  /// Warp scheduling (gpusim/sched): policy Serial runs warps to completion
-  /// in grid order (the classic launcher, bit-for-bit); RoundRobin
-  /// interleaves an occupancy-limited window of resident warps per virtual
-  /// SM, giving the cache models realistic access streams. Deterministic at
-  /// a fixed sim_threads() with the default slice L2.
+  /// Warp scheduling (gpusim/sched): the resident window of the round-robin
+  /// scheduler (0 = derived from occupancy; 1 = run-to-completion in grid
+  /// order). Deterministic at a fixed sim_threads().
   [[nodiscard]] const SchedConfig& sched() const { return sched_; }
   void set_sched(const SchedConfig& cfg) { sched_ = cfg; }
 
-  /// Opt-in shared set-sharded L2: one L2 shared by all virtual SMs behind
-  /// striped locks, replacing the per-SM capacity slices. Models cross-SM
-  /// reuse of x faithfully; counters may wobble run-to-run at T>1 while
-  /// numerics stay exact (see docs/performance_model.md).
+  /// Opt-in shared set-sharded L2: one L2 shared by all virtual SMs,
+  /// replacing the per-SM capacity slices. Models cross-SM reuse of x;
+  /// deterministic at a fixed sim_threads() (see docs/performance_model.md).
   [[nodiscard]] bool shared_l2() const { return shared_l2_on_; }
   void set_shared_l2(bool enabled) { shared_l2_on_ = enabled; }
 
@@ -324,16 +299,11 @@ class Device {
         pshards.emplace_back(cap);
       }
     }
-    if (sched_.policy != SchedPolicy::Serial && sched_pool_.size() != n) {
-      sched_pool_.resize(n);
-    }
+    sched_pool_.resize(n);
     SharedL2* shared = shared_l2_on_ ? ensure_shared_l2() : nullptr;
-    if (shared != nullptr) {
-      shared->set_concurrent(n > 1);  // T=1: stripe locking is pure overhead
-    }
     if (threads_ <= 1) {
-      run_serial(num_warps, kernel, result.stats, sanitize_ ? &shards[0] : nullptr,
-                 profile_ ? &pshards[0] : nullptr, shared);
+      run_one_thread(num_warps, kernel, result.stats, sanitize_ ? &shards[0] : nullptr,
+                     profile_ ? &pshards[0] : nullptr, shared);
     } else {
       run_parallel(result.kernel_name, num_warps, kernel, result.stats,
                    sanitize_ ? &shards : nullptr, profile_ ? &pshards : nullptr, shared);
@@ -345,10 +315,10 @@ class Device {
         report_findings(result.sanitizer);
       }
     }
-    result.time = estimate_time(timing_spec(), result.stats);
+    result.time = estimate_time(spec_, result.stats);
     if (profile_) {
       ProfileReport report =
-          profile_analyze(result.kernel_name, timing_spec(), result.stats, result.time, pshards);
+          profile_analyze(result.kernel_name, spec_, result.stats, result.time, pshards);
       result.profile = report;
       result.profile.events.clear();  // full timeline lives in profile_log()
       prof_log_.push_back(std::move(report));
@@ -364,8 +334,8 @@ class Device {
  private:
   /// One virtual SM: the private cache state of one worker thread. The L1
   /// has the full per-SM capacity; the L2 slice holds 1/T of the device L2.
-  /// Both persist across launches (same warm-up semantics as the serial
-  /// launcher's member caches).
+  /// Both persist across launches (same warm-up semantics as the
+  /// one-thread launcher's member caches).
   struct VirtualSm {
     VirtualSm(const DeviceSpec& spec, int num_sms)
         : l1(spec.l1_capacity_bytes, spec.l1_ways, spec.sector_bytes),
@@ -396,67 +366,47 @@ class Device {
     (*static_cast<Kernel*>(kernel))(ctx, warp);
   }
 
-  /// Run warps [start, start + count) on `ctx`: the classic
-  /// run-to-completion loop for policy Serial, or the fiber scheduler for
-  /// rr (which also models issue/latency cycles and charges exposed
-  /// stalls). `num_warps` is the full launch's warp count (window sizing).
-  /// Construct-or-reconfigure the pooled scheduler of virtual SM `sm`.
-  /// launch() sized sched_pool_ before the workers started, so concurrent
-  /// workers only ever touch their own element.
-  [[nodiscard]] WarpScheduler& pooled_scheduler(std::size_t sm, std::uint64_t num_warps) {
-    std::unique_ptr<WarpScheduler>& slot = sched_pool_[sm];
-    const int window = resident_window(spec_, sched_, num_warps);
-    const double comm = remote_on_ ? comm_ready_cycles_ : 0;
-    if (slot == nullptr) {
-      slot = std::make_unique<WarpScheduler>(window, &timing_spec(), comm);
-    } else {
-      slot->reconfigure(window, &timing_spec(), comm);
-    }
-    return *slot;
-  }
-
+  /// Run warps [start, start + count) on virtual SM `sm`: memory ops go
+  /// through `mc` and charge `stats`, the shards (null when off) record for
+  /// sancheck/prof, and the SM's pooled fiber scheduler interleaves the
+  /// warps, modeling issue/latency cycles and charging exposed stalls.
+  /// `num_warps` is the full launch's warp count (window sizing). launch()
+  /// sized sched_pool_ before the workers started, so concurrent workers
+  /// only ever touch their own element.
   template <typename Kernel>
-  void run_warps(WarpCtx& ctx, std::uint64_t start, std::uint64_t count,
-                 std::uint64_t num_warps, std::size_t sm_index, Kernel& kernel,
-                 SanShard* shard, ProfShard* pshard) {
-    if (sched_.policy == SchedPolicy::Serial) {
-      for (std::uint64_t w = start; w < start + count; ++w) {
-        if (shard != nullptr) {
-          shard->begin_warp(w);
-        }
-        if (pshard != nullptr) {
-          pshard->begin_warp(w);
-        }
-        kernel(ctx, w);
-        if (pshard != nullptr) {
-          pshard->end_warp();
-        }
-      }
-    } else {
-      using K = std::remove_reference_t<Kernel>;
-      WarpScheduler& sched = pooled_scheduler(sm_index, num_warps);
-      sched.run(ctx, start, count,
-                const_cast<void*>(static_cast<const void*>(std::addressof(kernel))),
-                &Device::invoke_kernel<K>);
-    }
-  }
-
-  template <typename Kernel>
-  void run_serial(std::uint64_t num_warps, Kernel& kernel, KernelStats& stats,
-                  SanShard* shard, ProfShard* pshard, SharedL2* shared) {
-    controller_.set_stats(&stats);
-    controller_.set_shared_l2(shared);
-    controller_.set_remote_window(remote_on_ ? &remote_window_ : nullptr);
-    WarpCtx ctx(&controller_, &stats);
+  void run_sm(std::size_t sm, MemoryController& mc, KernelStats& stats, SanShard* shard,
+              ProfShard* pshard, std::uint64_t start, std::uint64_t count,
+              std::uint64_t num_warps, Kernel& kernel) {
+    WarpCtx ctx(&mc, &stats);
     ctx.set_sanitizer(shard);
     ctx.set_profiler(pshard);
     if (pshard != nullptr) {
       pshard->attach(&stats);
     }
-    run_warps(ctx, 0, num_warps, num_warps, 0, kernel, shard, pshard);
+    std::unique_ptr<WarpScheduler>& sched = sched_pool_[sm];
+    const int window = resident_window(spec_, sched_, num_warps);
+    const double comm = remote_on_ ? comm_ready_cycles_ : 0;
+    if (sched == nullptr) {
+      sched = std::make_unique<WarpScheduler>(window, spec_, comm);
+    } else {
+      sched->reconfigure(window, spec_, comm);
+    }
+    using K = std::remove_reference_t<Kernel>;
+    sched->run(ctx, start, count,
+               const_cast<void*>(static_cast<const void*>(std::addressof(kernel))),
+               &Device::invoke_kernel<K>);
     if (pshard != nullptr) {
       pshard->finish();
     }
+  }
+
+  template <typename Kernel>
+  void run_one_thread(std::uint64_t num_warps, Kernel& kernel, KernelStats& stats,
+                      SanShard* shard, ProfShard* pshard, SharedL2* shared) {
+    controller_.set_stats(&stats);
+    controller_.set_shared_l2(shared);
+    controller_.set_remote_window(remote_on_ ? &remote_window_ : nullptr);
+    run_sm(0, controller_, stats, shard, pshard, 0, num_warps, num_warps, kernel);
     controller_.set_stats(&scratch_stats_);
     controller_.set_shared_l2(nullptr);
     controller_.set_remote_window(nullptr);
@@ -473,29 +423,26 @@ class Device {
     const RemoteWindow* remote = remote_on_ ? &remote_window_ : nullptr;
     std::vector<KernelStats> local_stats(t_count);
     std::vector<std::exception_ptr> errors(t_count);
+    if (shared != nullptr) {
+      shared->begin_epochs(threads_);
+    }
     pool_->run([this, &bounds, &kernel, &local_stats, &errors, shards, pshards, shared,
                 remote](int worker) {
       const auto t = static_cast<std::uint64_t>(worker);
       try {
         VirtualSm& sm = *sms_[t];
         MemoryController mc(&sm.l1, &sm.l2, &local_stats[t]);
-        mc.set_shared_l2(shared);
+        mc.set_shared_l2(shared, worker);
         mc.set_remote_window(remote);
-        WarpCtx ctx(&mc, &local_stats[t]);
-        SanShard* shard = shards != nullptr ? &(*shards)[t] : nullptr;
-        ctx.set_sanitizer(shard);
-        ProfShard* pshard = pshards != nullptr ? &(*pshards)[t] : nullptr;
-        ctx.set_profiler(pshard);
-        if (pshard != nullptr) {
-          pshard->attach(&local_stats[t]);
-        }
-        run_warps(ctx, bounds[t], bounds[t + 1] - bounds[t], bounds.back(),
-                  static_cast<std::size_t>(t), kernel, shard, pshard);
-        if (pshard != nullptr) {
-          pshard->finish();
-        }
+        run_sm(static_cast<std::size_t>(t), mc, local_stats[t],
+               shards != nullptr ? &(*shards)[t] : nullptr,
+               pshards != nullptr ? &(*pshards)[t] : nullptr, bounds[t],
+               bounds[t + 1] - bounds[t], bounds.back(), kernel);
       } catch (...) {
         errors[t] = std::current_exception();
+      }
+      if (shared != nullptr) {
+        shared->finish(worker);  // also on error: the others wait on its epochs
       }
     });
     for (const auto& error : errors) {
@@ -503,8 +450,19 @@ class Device {
         std::rethrow_exception(error);
       }
     }
+    if (shared != nullptr) {
+      // The shared L2's replay decides which probes hit; the live counters
+      // held the provisional classification the latency model used.
+      const std::uint64_t sector = spec_.sector_bytes;
+      for (std::uint64_t t = 0; t < t_count; ++t) {
+        const auto moved =
+            static_cast<std::uint64_t>(shared->hit_correction(static_cast<int>(t))) * sector;
+        local_stats[t].l2_hit_bytes += moved;  // modular: a negative move subtracts
+        local_stats[t].dram_bytes -= moved;
+      }
+    }
     // Deterministic merge in chunk order (all counters are commutative
-    // sums, so the aggregate equals the serial launcher's for any access
+    // sums, so the aggregate equals the one-thread launcher's for any access
     // pattern the private caches classify identically).
     for (const KernelStats& s : local_stats) {
       stats += s;
@@ -512,7 +470,6 @@ class Device {
   }
 
   DeviceSpec spec_;
-  DeviceSpec ilv_spec_;  ///< spec_ with the interleaved issue constants (timing_spec())
   DeviceMemory memory_;
   SectorCache l1_;
   SectorCache l2_;

@@ -61,12 +61,8 @@ DeviceSpec l40() {
   d.l1_latency_cycles = 33;
   d.l2_latency_cycles = 210;
   d.dram_latency_cycles = 620;
-  // Calibrated by tools/calibrate_sched.py against serial fig6 GFLOPS
-  // (constants table in docs/performance_model.md). Ada's deeper DRAM
-  // latency needs one more per-warp in-flight slot than Volta to keep the
-  // interleaved drift inside the 1% calibration target.
-  d.lsu_wavefronts_per_cycle_ilv = 1.0;
-  d.cuda_issue_efficiency_ilv = 0.7;
+  // Ada's deeper DRAM latency needs one more per-warp in-flight slot than
+  // Volta (constants table in docs/performance_model.md).
   d.mem_parallelism_ilv = 5.0;
   d.stall_exposure_ilv = 0.5;
   apply_link_preset(d, default_link_preset());
@@ -94,8 +90,6 @@ DeviceSpec v100() {
   d.l1_latency_cycles = 28;
   d.l2_latency_cycles = 193;
   d.dram_latency_cycles = 430;
-  d.lsu_wavefronts_per_cycle_ilv = 1.0;
-  d.cuda_issue_efficiency_ilv = 0.7;
   d.mem_parallelism_ilv = 4.0;
   d.stall_exposure_ilv = 0.5;
   apply_link_preset(d, default_link_preset());

@@ -47,10 +47,9 @@ struct DeviceSpec {
   double tc_half_tflops = 0;        ///< tensor-core peak, fp16 in / fp32 acc
 
   // Cache. The L1 capacity is a single-cache proxy for the per-SM L1s: each
-  // virtual SM owns one SM-sized L1, and the warps it hosts — sequential
-  // under the serial scheduling policy, an interleaved resident window under
-  // rr (gpusim/sched) — see approximately the locality each real L1
-  // would.
+  // virtual SM owns one SM-sized L1, and the interleaved resident window of
+  // warps it hosts (gpusim/sched) sees approximately the locality each real
+  // L1 would.
   std::uint64_t l1_capacity_bytes = 128 * 1024;
   int l1_ways = 8;
   std::uint64_t l2_capacity_bytes = 0;
@@ -73,34 +72,24 @@ struct DeviceSpec {
   // Load-to-use latencies in SM cycles, by the level that served the access;
   // the scheduler uses them to decide when a suspended warp becomes ready
   // again and to measure *exposed* stall cycles (nothing issuable). Values
-  // are microbenchmark-scale per architecture, then nudged by
-  // tools/calibrate_sched.py (see docs/performance_model.md).
+  // are microbenchmark-scale per architecture (docs/performance_model.md).
   int l1_latency_cycles = 32;
   int l2_latency_cycles = 200;
   int dram_latency_cycles = 600;
-  /// Issue-side constants recalibrated for rr + --shared-l2 traffic
-  /// (tools/calibrate_sched.py): with exposed stalls charged explicitly by
-  /// the scheduler, part of the flat derating that stood in for latency
-  /// effects under serial timing is lifted. `Device::timing_spec()` swaps
-  /// these in for lsu_wavefronts_per_cycle / cuda_issue_efficiency whenever
-  /// the scheduling policy interleaves.
-  double lsu_wavefronts_per_cycle_ilv = 1.0;
-  double cuda_issue_efficiency_ilv = 0.7;
   /// Outstanding memory requests per warp the latency model credits — the
   /// rr scoreboard depth. Real warps keep several independent loads in
   /// flight before the first use stalls them; the scheduler gives each
   /// resident warp this many in-flight slots, charges every memory op its
   /// raw level latency, and only suspends the warp when all slots hold
-  /// outstanding ops. Calibrated per architecture by
-  /// tools/calibrate_sched.py.
+  /// outstanding ops. Calibrated per architecture.
   double mem_parallelism_ilv = 4.0;
   /// Fraction of the virtual SMs' measured exposed-stall cycles charged as
   /// device wall-clock (t_stall). The scheduler replays an entire SM
   /// partition through one resident window against one clock, so every
   /// window's cold start and retire drain is observed back to back; on the
   /// real device block starts stagger across SMs and DRAM queuing overlaps
-  /// neighbouring windows, hiding part of that exposure. Calibrated with
-  /// the other _ilv constants (tools/calibrate_sched.py).
+  /// neighbouring windows, hiding part of that exposure. Calibrated per
+  /// architecture with mem_parallelism_ilv.
   double stall_exposure_ilv = 1.0;
 
   // --- interconnect (multi-device execution, gpusim/multidevice) ---

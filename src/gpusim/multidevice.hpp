@@ -18,8 +18,7 @@
 //                + halo_bytes / (link_bandwidth_gbps * 1e9 * active_links)
 // with active_links = min(peer count, links_per_device). The sharded runner
 // converts that to SM cycles (Device::set_comm_ready_cycles) so the fiber
-// scheduler can overlap it with compute, or adds it analytically under the
-// serial policy.
+// scheduler can overlap it with compute.
 #pragma once
 
 #include <cstdint>

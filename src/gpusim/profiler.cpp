@@ -155,7 +155,7 @@ ProfileReport profile_analyze(std::string kernel_name, const DeviceSpec& spec,
   // Merge per-range accumulators, per-SM shares and the timeline in shard
   // order. Shards cover ascending, contiguous warp ranges, so first-seen
   // range order across the concatenation equals first-seen order over the
-  // whole grid — the serial launcher's.
+  // whole grid — the one-thread launcher's.
   for (std::size_t t = 0; t < shards.size(); ++t) {
     ProfShard& shard = shards[t];
     report.truncated = report.truncated || shard.truncated_;

@@ -112,8 +112,8 @@ class ProfShard {
   /// One open range of the executing warp. `snap` is the counter snapshot
   /// at the latest push *or resume*; `partial` accumulates the counter
   /// delta of earlier residency intervals of a warp the fiber scheduler
-  /// suspended while this range was open (zero on the serial path, so pop
-  /// arithmetic is unchanged there).
+  /// suspended while this range was open (zero for a warp that was never
+  /// suspended, so pop arithmetic is unchanged there).
   struct Frame {
     std::uint16_t name_id = 0;
     KernelStats snap;
@@ -238,7 +238,7 @@ struct ProfileReport {
 
 /// Merge the recorded shards of one launch into a report. Shards must be
 /// ordered by worker index (= ascending warp ranges), which makes range
-/// order and counters equal to the serial launcher's.
+/// order and counters equal to the one-thread launcher's.
 [[nodiscard]] ProfileReport profile_analyze(std::string kernel_name, const DeviceSpec& spec,
                                             const KernelStats& launch_stats,
                                             const TimeBreakdown& launch_time,

@@ -103,7 +103,7 @@ class AllocCache {
 // Canonical warp-major schedule.
 //
 // Shards record events in execution order, which depends on the thread count,
-// the warp partition, and the scheduler policy. Every warp runs on exactly
+// the warp partition, and the resident window. Every warp runs on exactly
 // one worker though, so its whole stream lives in one shard as a sequence of
 // contiguous runs (fiber switches happen only between instructions), and the
 // per-warp program order is recoverable for free: collect each warp's runs,

@@ -60,7 +60,7 @@ inline constexpr std::uint64_t kSanNoWarp = ~std::uint64_t{0};
 /// additionally carry the full witness pair: `warp`/`op`/`lane` identify the
 /// canonically-earlier access and `warp2`/`op2`/`lane2` the conflicting one,
 /// where `op` is the per-warp ordinal of the recorded memory/sync operation
-/// (independent of SPADEN_SIM_THREADS and scheduler policy).
+/// (independent of SPADEN_SIM_THREADS and the resident window).
 struct SanDiag {
   SanKind kind = SanKind::OobAccess;
   std::uint64_t warp = 0;
@@ -205,7 +205,7 @@ inline constexpr std::size_t kSanMaxEvents = std::size_t{1} << 21;  // ~50 MB of
 /// Events are first regrouped into a canonical warp-major schedule (every
 /// warp's stream lives in exactly one shard, so the regrouping — and with it
 /// every verdict and every diagnostic byte — is independent of the shard
-/// count, the warp partition, and the scheduler policy). Commits every
+/// count, the warp partition, and the resident window). Commits every
 /// observed store to the registry's shadow valid bits.
 [[nodiscard]] SanitizerReport sanitize_analyze(std::string kernel_name,
                                                std::vector<SanShard>& shards,

@@ -1,48 +1,36 @@
-// Scheduling policy configuration for the warp scheduler (src/gpusim/sched/).
+// Scheduling configuration for the warp scheduler (src/gpusim/sched/).
 //
-// `serial` is the classic launcher: every warp runs to completion in grid
-// order, bit-for-bit the pre-scheduler behaviour. `rr` interleaves an
-// occupancy-limited window of resident warps per virtual SM, which is what
-// the cache models need to see realistic (less optimistic) temporal
-// locality — see docs/performance_model.md for the measured drift.
+// Every Device runs `rr`: an occupancy-limited window of resident warps per
+// virtual SM, interleaved round-robin at memory operations, which is what the
+// cache models need to see realistic (less optimistic) temporal locality. A
+// window of one resident warp degenerates to run-to-completion in grid order.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "gpusim/device_spec.hpp"
 
 namespace spaden::sim {
 
-/// Which resident warp advances at each yield point.
+/// Which resident warp advances at each yield point. The value 1 is kept
+/// from the retired two-policy enum, so a SchedConfig's bytes (and the
+/// parameterized test names that print them) stay stable.
 enum class SchedPolicy : std::uint8_t {
-  Serial = 0,  ///< run-to-completion in grid order (the classic launcher)
-  RoundRobin,  ///< switch to the next resident warp at every memory op
+  RoundRobin = 1,  ///< switch to the next resident warp at every memory op
 };
 
 [[nodiscard]] const char* sched_policy_name(SchedPolicy p);
-/// Parse "serial" | "rr"; throws on anything else.
-[[nodiscard]] SchedPolicy sched_policy_by_name(const std::string& name);
 
 struct SchedConfig {
-  SchedPolicy policy = SchedPolicy::Serial;
+  SchedPolicy policy = SchedPolicy::RoundRobin;
   /// Resident warps per virtual SM. 0 = derive from the device spec:
   /// max_warps_per_sm scaled by the launch's occupancy estimate.
   int window = 0;
   bool operator==(const SchedConfig&) const = default;
 };
 
-/// Environment default: SPADEN_SIM_SCHED = "serial" | "rr", with an
-/// optional ":window" suffix (e.g. "rr:8") to pin the resident window.
-/// Unset means serial — a raw Device stays the classic launcher.
-[[nodiscard]] SchedConfig default_sched();
-
-/// Engine-level scheduling default (EngineOptions::sched): SPADEN_SIM_SCHED
-/// wins when set (including "serial" to force the classic launcher);
-/// otherwise interleaved round-robin with the occupancy-derived window —
-/// the figure-generating mode since the rr + shared-L2 recalibration
-/// (docs/performance_model.md).
-[[nodiscard]] SchedConfig default_engine_sched();
+/// The scheduling every new Device starts with: rr with the derived window.
+[[nodiscard]] constexpr SchedConfig default_sched() { return {}; }
 
 /// Occupancy-limited resident-warp window for one virtual SM: the device's
 /// maximum residency scaled by the launch's occupancy estimate, never below

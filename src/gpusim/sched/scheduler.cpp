@@ -8,17 +8,17 @@
 
 namespace spaden::sim {
 
-WarpScheduler::WarpScheduler(int window, const DeviceSpec* spec, double comm_ready_cycles) {
+WarpScheduler::WarpScheduler(int window, const DeviceSpec& spec, double comm_ready_cycles) {
   reconfigure(window, spec, comm_ready_cycles);
 }
 
-void WarpScheduler::reconfigure(int window, const DeviceSpec* spec,
+void WarpScheduler::reconfigure(int window, const DeviceSpec& spec,
                                 double comm_ready_cycles) {
   SPADEN_REQUIRE(window >= 1, "resident window %d must be >= 1", window);
   SPADEN_REQUIRE(comm_ready_cycles >= 0, "comm_ready_cycles %g must be >= 0",
                  comm_ready_cycles);
   window_ = window;
-  spec_ = spec;
+  spec_ = &spec;
   comm_ready_ = comm_ready_cycles;
 }
 
@@ -161,10 +161,6 @@ void WarpScheduler::yield_point() {
     return;  // no other resident warp to switch to
   }
   Slot& slot = *slots_[current_];
-  if (!timing_) {
-    slot.fiber.yield();  // pure interleaving: switch at every memory op
-    return;
-  }
   // Scoreboard: the op just charged occupies an in-flight slot until its
   // completion cycle. The warp only suspends when every slot holds a
   // genuinely outstanding op — that is the instruction-grained refinement
@@ -246,10 +242,9 @@ void WarpScheduler::run(WarpCtx& ctx, std::uint64_t start, std::uint64_t count,
   live_count_ = window;
   rr_next_ = 0;
   live_mask_ = window >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << window) - 1;
-  // The latency model needs >1 resident warp (a lone warp has nothing to
-  // cover its latency with — and the rr:1 window must stay bit-identical to
-  // the serial launcher) and a device spec to read latencies from.
-  timing_ = spec_ != nullptr && window > 1;
+  // The latency model needs >1 resident warp: a lone warp has nothing to
+  // cover its latency with, so the rr:1 window stays plain run-to-completion.
+  timing_ = window > 1;
   now_ = 0;
   pending_stall_ = 0;
   pending_comm_ = 0;

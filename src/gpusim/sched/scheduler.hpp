@@ -10,36 +10,31 @@
 // finishes, its slot is refilled with the next warp of the SM's range, like
 // a fresh thread block rotating in.
 //
-// Latency model: when a DeviceSpec is attached, the scheduler keeps a
-// virtual SM clock (in cycles). Each residency interval advances the clock
-// by the issue cost of what the warp charged (LSU wavefronts, CUDA lane-ops,
-// tensor-core FLOPs — whichever pipe is the bottleneck). Each resident
-// warp additionally owns a small scoreboard of in-flight memory
-// ops (spec.mem_parallelism_ilv slots — the per-warp MLP the old model
-// approximated by dividing latencies): a memory op that finds a free slot
-// records its completion cycle and the warp *keeps running*; only when
-// every slot holds a genuinely outstanding op does the warp suspend, until
-// the earliest completion frees a slot. This is the instruction-grained
+// Latency model: the scheduler keeps a virtual SM clock (in cycles). Each
+// residency interval advances the clock by the issue cost of what the warp
+// charged (LSU wavefronts, CUDA lane-ops, tensor-core FLOPs — whichever pipe
+// is the bottleneck). Each resident warp additionally owns a small scoreboard
+// of in-flight memory ops (spec.mem_parallelism_ilv slots — the per-warp MLP
+// the old model approximated by dividing latencies): a memory op that finds a
+// free slot records its completion cycle and the warp *keeps running*; only
+// when every slot holds a genuinely outstanding op does the warp suspend,
+// until the earliest completion frees a slot. This is the instruction-grained
 // latency refinement: latencies are charged raw per level (L1/L2/DRAM,
 // classified per op from the counter stream) instead of divided by a flat
 // parallelism credit, and fiber switches happen once per filled scoreboard
-// instead of once per op. The scheduler only picks among *ready* warps;
-// when every warp is waiting, the clock jumps to the earliest
-// completion and the gap is charged to KernelStats::exposed_stall_cycles —
-// the cycles nothing could cover, which estimate_time turns into the
-// additive t_stall term. With a single resident warp (or no spec) the
-// accounting is off and the counter stays 0, preserving serial-mode
-// byte-identity.
+// instead of once per op. The scheduler only picks among *ready* warps; when
+// every warp is waiting, the clock jumps to the earliest completion and the
+// gap is charged to KernelStats::exposed_stall_cycles — the cycles nothing
+// could cover, which estimate_time turns into the additive t_stall term. With
+// a single resident warp the accounting is off and the counter stays 0: a
+// one-warp window is plain run-to-completion in grid order.
 //
 // Determinism: the schedule is a pure function of the counter stream the
-// warps produce, so with the per-SM slice L2
-// (SPADEN_SIM_SHARED_L2=0) counters, profiles and numerics are
-// byte-identical run-to-run at any fixed SPADEN_SIM_THREADS, and the
-// engine default (shared L2) is byte-identical at T=1. Under the shared L2
-// at T>1 the stall signal depends on cross-thread cache state, so the
-// schedule — and with it the cache/stall counters — may wobble across runs
-// while numerics and work counters stay exact (warps only communicate
-// through atomics; see docs/performance_model.md).
+// warps produce, so counters, profiles and numerics are byte-identical
+// run-to-run at any fixed SPADEN_SIM_THREADS with either L2 model: the
+// per-SM slice L2 is private, and the shared L2 classifies each SM's
+// probes against its epoch-start state (gpusim/shared_l2.hpp), never
+// against another thread's in-flight progress.
 //
 // Profiler/sanitizer composition: on every switch the scheduler parks the
 // outgoing warp's recorder state (open profiler ranges, sanitizer warp
@@ -73,24 +68,21 @@ using KernelBody = void (*)(void* kernel, WarpCtx& ctx, std::uint64_t warp);
 
 class WarpScheduler {
  public:
-  /// `window` is the resident-warp count per SM (see resident_window()).
-  /// `spec` enables the latency model (nullptr: pure interleaving, no stall
-  /// accounting); pass the spec with the interleaved issue constants —
-  /// Device uses timing_spec(). `comm_ready_cycles` is the SM-clock cycle
-  /// (from run() start) the modeled halo transfer lands: memory ops that
-  /// touch remote sectors (KernelStats::remote_sectors movement) cannot
-  /// complete before it, so halo-touching warps suspend while local warps
-  /// keep issuing — the comm/compute overlap. 0 = no interconnect (exact
-  /// pre-multi-device behavior).
-  explicit WarpScheduler(int window, const DeviceSpec* spec = nullptr,
-                         double comm_ready_cycles = 0);
+  /// `window` is the resident-warp count per SM (see resident_window());
+  /// `spec` supplies the latency model's constants and must outlive run().
+  /// `comm_ready_cycles` is the SM-clock cycle (from run() start) the
+  /// modeled halo transfer lands: memory ops that touch remote sectors
+  /// (KernelStats::remote_sectors movement) cannot complete before it, so
+  /// halo-touching warps suspend while local warps keep issuing — the
+  /// comm/compute overlap. 0 = no interconnect (exact pre-multi-device
+  /// behavior).
+  WarpScheduler(int window, const DeviceSpec& spec, double comm_ready_cycles);
 
   /// Re-point a pooled scheduler at a (possibly) new configuration before
   /// run(). Fiber slots — and their stacks — are reused when the effective
   /// window is unchanged, which is the arena pooling that removes the
   /// per-launch stack allocation traffic.
-  void reconfigure(int window, const DeviceSpec* spec = nullptr,
-                   double comm_ready_cycles = 0);
+  void reconfigure(int window, const DeviceSpec& spec, double comm_ready_cycles);
 
   /// Run warps [start, start + count) of `body` interleaved over the
   /// resident window. Registers itself as ctx's yield sink for the

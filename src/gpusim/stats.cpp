@@ -70,8 +70,9 @@ void KernelStats::to_json(JsonWriter& w) const {
   w.field("atomic_lane_ops", atomic_lane_ops);
   w.field("shuffle_lane_ops", shuffle_lane_ops);
   w.field("warps_launched", warps_launched);
-  // Conditional so serial-mode output stays byte-identical to pre-stall-model
-  // goldens: the counter can only be nonzero under an interleaving scheduler.
+  // Conditional so stall-free output (one-warp windows, pure-ALU kernels)
+  // keeps the pre-stall-model shape: the counter is only nonzero when
+  // resident warps interleave.
   if (exposed_stall_cycles != 0) {
     w.field("exposed_stall_cycles", exposed_stall_cycles);
   }

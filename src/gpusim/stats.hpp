@@ -77,7 +77,7 @@ struct KernelStats {
   std::uint64_t exposed_stall_cycles = 0;  ///< SM cycles where every resident
                                            ///< warp was suspended on a memory
                                            ///< op and nothing could issue
-                                           ///< (gpusim/sched; 0 under serial)
+                                           ///< (gpusim/sched; 0 for one-warp windows)
 
   // --- multi-device halo traffic (gpusim/multidevice; 0 single-device) ---
   std::uint64_t remote_sectors = 0;     ///< L2 sector accesses into x columns

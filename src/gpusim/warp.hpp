@@ -67,17 +67,15 @@ class WarpCtx {
   void set_profiler(ProfShard* shard) { prof_ = shard; }
   [[nodiscard]] ProfShard* profiler() const { return prof_; }
 
-  /// Attach a warp scheduler (gpusim/sched): every global-memory operation
-  /// then becomes a yield point where another resident warp of this virtual
-  /// SM may advance. Null (the default) keeps run-to-completion execution
-  /// at the cost of one pointer test per memory operation. Yield points sit
-  /// after the operation's charging and recording, so a warp instruction is
-  /// atomic with respect to warp switches. What may a kernel hold across a
-  /// yield? Anything per-warp (locals, fragments, open ProfRanges); what it
-  /// must NOT assume is inter-warp ordering beyond atomics — the same
-  /// contract CUDA gives it (docs/writing_kernels.md).
+  /// Attach the warp scheduler (gpusim/sched) that runs this launch's warps
+  /// on this virtual SM: every global-memory operation is a yield point
+  /// where another resident warp may advance. Yield points sit after the
+  /// operation's charging and recording, so a warp instruction is atomic
+  /// with respect to warp switches. What may a kernel hold across a yield?
+  /// Anything per-warp (locals, fragments, open ProfRanges); what it must
+  /// NOT assume is inter-warp ordering beyond atomics — the same contract
+  /// CUDA gives it (docs/writing_kernels.md).
   void set_scheduler(WarpScheduler* sched) { sched_ = sched; }
-  [[nodiscard]] WarpScheduler* scheduler() const { return sched_; }
 
   /// NVTX-style named phase markers: counters accumulated between push and
   /// the matching pop are attributed to `name` in the launch's profile.

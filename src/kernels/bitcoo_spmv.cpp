@@ -123,7 +123,7 @@ BitCooSpmvResult spmv_bitcoo(sim::Device& device, const mat::BitCoo& a,
 
   result_launch.stats += push.stats;
   result_launch.sanitizer.merge(push.sanitizer);
-  result_launch.time = sim::estimate_time(device.timing_spec(), result_launch.stats);
+  result_launch.time = sim::estimate_time(device.spec(), result_launch.stats);
   result_launch.kernel_name = "bitcoo_spmv";
 
   BitCooSpmvResult out;

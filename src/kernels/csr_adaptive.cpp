@@ -159,7 +159,7 @@ class CsrAdaptiveKernel final : public SpmvKernel {
     });
     result.stats += pass.stats;
     result.sanitizer.merge(pass.sanitizer);
-    result.time = sim::estimate_time(device.timing_spec(), result.stats);
+    result.time = sim::estimate_time(device.spec(), result.stats);
     result.kernel_name = "csr_adaptive_spmv";
     return result;
   }

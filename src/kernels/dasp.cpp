@@ -255,7 +255,7 @@ class DaspKernel final : public SpmvKernel {
       result.sanitizer.merge(short_pass.sanitizer);
     }
 
-    result.time = sim::estimate_time(device.timing_spec(), result.stats);
+    result.time = sim::estimate_time(device.spec(), result.stats);
     result.kernel_name = "dasp_spmv";
     return result;
   }

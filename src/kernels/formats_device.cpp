@@ -81,7 +81,7 @@ san::FormatReport DeviceBsr::check(mat::Index nrows, mat::Index ncols) const {
 
 san::FormatReport DeviceBitBsr::check(mat::Index nrows, mat::Index ncols) const {
   return san::check_bitbsr(nrows, ncols, block_row_ptr.host(), block_col.host(),
-                           bitmap.host(), val_offset.host(), values.host().size());
+                           bitmap.host(), val_offset.host(), values.host());
 }
 
 }  // namespace spaden::kern

@@ -76,7 +76,7 @@ class GunrockKernel final : public SpmvKernel {
     // Report the two passes as one logical SpMV.
     push.stats += result.stats;
     push.sanitizer.merge(result.sanitizer);
-    push.time = sim::estimate_time(device.timing_spec(), push.stats);
+    push.time = sim::estimate_time(device.spec(), push.stats);
     push.kernel_name = "gunrock_spmv";
     return push;
   }

@@ -276,13 +276,6 @@ GroupResult ShardedSpmv::launch(mat::Index k) {
                                    : kernels_[i]->run_multi(dev, x.cspan(), y_[i].span(), k);
     if (n > 1) {
       dev.clear_remote_window();
-      if (dev.sched().policy == sim::SchedPolicy::Serial &&
-          shards_[i].wire_seconds > 0) {
-        // The run-to-completion launcher has no scheduler to overlap the
-        // halo fetch with compute, so the wire time is purely additive.
-        launch.time.t_comm += shards_[i].wire_seconds;
-        launch.time.total += shards_[i].wire_seconds;
-      }
     }
     result.stats += launch.stats;
     if (launch.time.total > result.modeled_seconds) {

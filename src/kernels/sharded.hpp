@@ -20,8 +20,7 @@
 //    indices touch outside its own range are its halo. The modeled wire time
 //    for that halo gates the shard's remote loads (RemoteWindow +
 //    comm_ready_cycles) so the fiber scheduler can overlap the transfer with
-//    local-column compute; under the serial run-to-completion policy the
-//    wire time is added analytically as TimeBreakdown::t_comm instead.
+//    local-column compute.
 //
 // The group's modeled time is the slowest device (devices run concurrently);
 // counters sum across devices.

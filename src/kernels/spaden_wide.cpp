@@ -165,7 +165,7 @@ class SpadenWideKernel final : public SpmvKernel {
     return san::check_bitbsr_wide(nrows_, ncols_, dev_.block_row_ptr.host(),
                                   dev_.block_col.host(), dev_.bitmap.host().data(),
                                   dev_.bitmap.host().size(), dev_.val_offset.host(),
-                                  dev_.values.host().size());
+                                  dev_.values.host());
   }
 
   [[nodiscard]] Footprint footprint() const override {

@@ -263,13 +263,35 @@ FormatReport check_bsr(Index nrows, Index ncols, Index block_dim,
 
 namespace {
 
+/// Every stored binary16 value must be finite: an Inf/NaN bit pattern
+/// poisons each product it enters. With valid offsets the violation names
+/// the block that owns the value.
+void check_half_values(Checker& c, const std::string& fmt, const std::vector<half>& values,
+                       const std::vector<Index>& val_offset, bool offs_ok) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const half v = values[i];
+    c.require(!v.is_inf() && !v.is_nan(), [&] {
+      std::string where = strfmt("value %zu", i);
+      if (offs_ok) {
+        const auto it = std::upper_bound(val_offset.begin(), val_offset.end(),
+                                         static_cast<Index>(i));
+        where = strfmt("block %td, ", it - val_offset.begin() - 1) + where;
+      }
+      return Violation{fmt + ".values.half-range", where,
+                       strfmt("stored half 0x%04x is %s, not a finite binary16", v.bits(),
+                              v.is_nan() ? "NaN" : "Inf")};
+    });
+  }
+}
+
 /// Shared core of the two bitmap-block CSR-style checkers: `words` bitmap
 /// words per block, `dim` x `dim` blocks.
 void check_bitmap_blocks(Checker& c, const std::string& fmt, Index nrows, Index ncols,
                          Index dim, unsigned words, const std::vector<Index>& block_row_ptr,
                          const std::vector<Index>& block_col,
                          const std::uint64_t* bitmap_words, std::size_t bitmap_len,
-                         const std::vector<Index>& val_offset, std::size_t nvalues) {
+                         const std::vector<Index>& val_offset,
+                         const std::vector<half>& values) {
   const auto brows = static_cast<Index>((nrows + dim - 1) / dim);
   const auto bcols = static_cast<Index>((ncols + dim - 1) / dim);
   const std::size_t blocks = block_col.size();
@@ -280,7 +302,8 @@ void check_bitmap_blocks(Checker& c, const std::string& fmt, Index nrows, Index 
   });
   const bool rows_ok =
       check_ptr_array(c, fmt, "block_row_ptr", block_row_ptr, brows, blocks);
-  const bool offs_ok = check_offsets(c, fmt, val_offset, blocks, nvalues);
+  const bool offs_ok = check_offsets(c, fmt, val_offset, blocks, values.size());
+  check_half_values(c, fmt, values, val_offset, offs_ok);
   if (rows_ok) {
     for (Index br = 0; br < brows; ++br) {
       check_row_cols(c, fmt, block_col, block_row_ptr[br], block_row_ptr[br + 1], br, bcols,
@@ -360,12 +383,13 @@ void check_bitmap_blocks(Checker& c, const std::string& fmt, Index nrows, Index 
 FormatReport check_bitbsr(Index nrows, Index ncols, const std::vector<Index>& block_row_ptr,
                           const std::vector<Index>& block_col,
                           const std::vector<std::uint64_t>& bitmap,
-                          const std::vector<Index>& val_offset, std::size_t nvalues) {
+                          const std::vector<Index>& val_offset,
+                          const std::vector<half>& values) {
   FormatReport report;
   report.format = "bitBSR";
   Checker c(&report);
   check_bitmap_blocks(c, "bitbsr", nrows, ncols, 8, 1, block_row_ptr, block_col,
-                      bitmap.data(), bitmap.size(), val_offset, nvalues);
+                      bitmap.data(), bitmap.size(), val_offset, values);
   return report;
 }
 
@@ -373,20 +397,22 @@ FormatReport check_bitbsr_wide(Index nrows, Index ncols,
                                const std::vector<Index>& block_row_ptr,
                                const std::vector<Index>& block_col,
                                const std::uint64_t* bitmap_words, std::size_t bitmap_len,
-                               const std::vector<Index>& val_offset, std::size_t nvalues) {
+                               const std::vector<Index>& val_offset,
+                               const std::vector<half>& values) {
   FormatReport report;
   report.format = "bitBSR16";
   Checker c(&report);
   check_bitmap_blocks(c, "bitbsr16", nrows, ncols, mat::BitBsr16::kDim,
                       mat::BitBsr16::kWords, block_row_ptr, block_col, bitmap_words,
-                      bitmap_len, val_offset, nvalues);
+                      bitmap_len, val_offset, values);
   return report;
 }
 
 FormatReport check_bitcoo(Index nrows, Index ncols, const std::vector<Index>& block_row,
                           const std::vector<Index>& block_col,
                           const std::vector<std::uint64_t>& bitmap,
-                          const std::vector<Index>& val_offset, std::size_t nvalues) {
+                          const std::vector<Index>& val_offset,
+                          const std::vector<half>& values) {
   FormatReport report;
   report.format = "bitCOO";
   Checker c(&report);
@@ -400,7 +426,8 @@ FormatReport check_bitcoo(Index nrows, Index ncols, const std::vector<Index>& bl
                             block_row.size(), block_col.size(), blocks)};
   });
   const bool coords_ok = block_row.size() == blocks && block_col.size() == blocks;
-  const bool offs_ok = check_offsets(c, "bitcoo", val_offset, blocks, nvalues);
+  const bool offs_ok = check_offsets(c, "bitcoo", val_offset, blocks, values.size());
+  check_half_values(c, "bitcoo", values, val_offset, offs_ok);
   for (std::size_t b = 0; b < blocks; ++b) {
     if (coords_ok) {
       c.require(block_row[b] < brows && block_col[b] < bcols, [&] {
@@ -465,7 +492,7 @@ FormatReport check_format(const mat::Bsr& a) {
 
 FormatReport check_format(const mat::BitBsr& a) {
   return check_bitbsr(a.nrows, a.ncols, a.block_row_ptr, a.block_col, a.bitmap,
-                      a.val_offset, a.values.size());
+                      a.val_offset, a.values);
 }
 
 FormatReport check_format(const mat::BitBsr16& a) {
@@ -474,12 +501,12 @@ FormatReport check_format(const mat::BitBsr16& a) {
   return check_bitbsr_wide(a.nrows, a.ncols, a.block_row_ptr, a.block_col,
                            a.bitmap.empty() ? nullptr : a.bitmap.front().data(),
                            a.bitmap.size() * mat::BitBsr16::kWords, a.val_offset,
-                           a.values.size());
+                           a.values);
 }
 
 FormatReport check_format(const mat::BitCoo& a) {
   return check_bitcoo(a.nrows, a.ncols, a.block_row, a.block_col, a.bitmap, a.val_offset,
-                      a.values.size());
+                      a.values);
 }
 
 bool default_verify_format() {

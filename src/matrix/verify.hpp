@@ -28,6 +28,7 @@
 //   bit*.popcount           popcount(bitmap[b]) == val_offset[b+1] - val_offset[b]
 //   bit*.val-offset-*       exclusive scan starts at 0, is monotone, ends at nnz
 //   bit*.padding-bits       bitmap bits beyond nrows/ncols are clear
+//   bit*.values.half-range  stored binary16 values are finite (no Inf/NaN bits)
 //   bsr.padding-zero        dense-block values beyond nrows/ncols are 0
 #pragma once
 
@@ -35,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/half.hpp"
 #include "matrix/bitbsr.hpp"
 #include "matrix/bitbsr_wide.hpp"
 #include "matrix/bitcoo.hpp"
@@ -87,7 +89,8 @@ FormatReport check_bsr(Index nrows, Index ncols, Index block_dim,
 FormatReport check_bitbsr(Index nrows, Index ncols, const std::vector<Index>& block_row_ptr,
                           const std::vector<Index>& block_col,
                           const std::vector<std::uint64_t>& bitmap,
-                          const std::vector<Index>& val_offset, std::size_t nvalues);
+                          const std::vector<Index>& val_offset,
+                          const std::vector<half>& values);
 
 /// bitBSR16: `bitmap_words` holds kWords (= 4) little-endian words per block,
 /// flattened — the layout both the host struct and the device mirror use.
@@ -95,12 +98,14 @@ FormatReport check_bitbsr_wide(Index nrows, Index ncols,
                                const std::vector<Index>& block_row_ptr,
                                const std::vector<Index>& block_col,
                                const std::uint64_t* bitmap_words, std::size_t bitmap_len,
-                               const std::vector<Index>& val_offset, std::size_t nvalues);
+                               const std::vector<Index>& val_offset,
+                               const std::vector<half>& values);
 
 FormatReport check_bitcoo(Index nrows, Index ncols, const std::vector<Index>& block_row,
                           const std::vector<Index>& block_col,
                           const std::vector<std::uint64_t>& bitmap,
-                          const std::vector<Index>& val_offset, std::size_t nvalues);
+                          const std::vector<Index>& val_offset,
+                          const std::vector<half>& values);
 
 // --- host-struct conveniences ----------------------------------------------
 

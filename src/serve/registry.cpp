@@ -6,7 +6,6 @@
 #include "analysis/recommend.hpp"
 #include "common/error.hpp"
 #include "common/parse.hpp"
-#include "gpusim/sched/policy.hpp"
 
 namespace spaden::serve {
 
@@ -38,7 +37,6 @@ EngineOptions pinned_engine_options(const sim::DeviceSpec& device) {
   // SPADEN_PROFILE env default the plain engine constructor would read —
   // serve reports must not change when the ambient simulator config does.
   o.sim_threads = default_serve_sim_threads();
-  o.sched = sim::SchedConfig{sim::SchedPolicy::RoundRobin, 0};
   o.shared_l2 = true;
   o.sanitize = false;
   o.profile = false;

@@ -15,7 +15,7 @@
 // Everything downstream of the spec is deterministic: engines run under
 // serve::pinned_engine_options, service times are modeled, arrivals are
 // seeded — so the emitted BENCH/METRICS bytes are identical across
-// SPADEN_SIM_THREADS, scheduler policies, and host machines.
+// SPADEN_SIM_THREADS values and host machines.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// Serial-anchor regression tests for the interpreter fast paths: the
+// Regression tests for the interpreter fast paths: the
 // host-performance work (decoded-block caching, launch-to-launch arena
 // pooling, batched sector classification, scheduled fibers) speeds up the
 // *host* simulation only. Each optimization must leave modeled counters,
@@ -26,8 +26,7 @@ struct RunOut {
   sim::KernelStats stats;
 };
 
-RunOut run_spaden(const mat::Csr& a, int threads = 1,
-                  sim::SchedConfig sched = sim::default_sched()) {
+RunOut run_spaden(const mat::Csr& a, int threads, sim::SchedConfig sched) {
   sim::Device device(sim::l40());
   device.set_sim_threads(threads);
   device.set_shared_l2(false);  // slice L2: exact at any thread count

@@ -244,26 +244,6 @@ TEST(ShardedSpmv, DenseStripeForcesMaximalHalo) {
   EXPECT_GT(r.stats.remote_sectors, 0u);
 }
 
-TEST(ShardedSpmv, SerialPolicyChargesWireTimeAdditively) {
-  const mat::Csr a = dense_stripe_matrix(256, 1024);
-  sim::DeviceGroup group(sim::l40(), 2);
-  sim::SchedConfig serial;
-  serial.policy = sim::SchedPolicy::Serial;
-  group.set_sched(serial);
-  kern::ShardedSpmv sharded(group, kern::Method::CusparseCsr);
-  sharded.prepare(a);
-  std::vector<float> y;
-  const kern::GroupResult r = sharded.multiply(dense_x(a.ncols), y);
-  for (std::size_t d = 0; d < r.launches.size(); ++d) {
-    if (r.shards[d].shard.empty()) {
-      continue;
-    }
-    // Run-to-completion has no overlap: t_comm is exactly the wire time.
-    EXPECT_DOUBLE_EQ(r.launches[d].time.t_comm, r.shards[d].wire_seconds);
-  }
-  EXPECT_GT(r.time.t_comm, 0.0);
-}
-
 TEST(DeviceGroup, WireModelFollowsPresetParameters) {
   sim::DeviceSpec spec = sim::l40();
   sim::apply_link_preset(spec, "nvlink");

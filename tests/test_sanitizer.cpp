@@ -361,13 +361,12 @@ TEST(Sancheck, RaceReportDeterministicAcrossThreadCounts) {
 
 TEST(Sancheck, RaceReportDeterministicAcrossSchedPolicies) {
   // The detector replays the canonical warp-major schedule, so the report is
-  // a pure function of the program — byte-identical under every scheduler.
+  // a pure function of the program — byte-identical under every resident
+  // window (one warp = run-to-completion, derived, eight warps).
   std::vector<SanitizerReport> reports;
-  for (const char* policy : {"serial", "rr"}) {
+  for (const int window : {1, 0, 8}) {
     Device device = make_device(true, 4);
-    SchedConfig sched;
-    sched.policy = sched_policy_by_name(policy);
-    device.set_sched(sched);
+    device.set_sched({SchedPolicy::RoundRobin, window});
     auto y = device.memory().alloc<float>(16, "y");
     const auto result = device.launch("racy_store", 8, [&](WarpCtx& ctx, std::uint64_t w) {
       ctx.scalar_store(y.span(), w % 4, static_cast<float>(w));
@@ -384,22 +383,23 @@ TEST(Sancheck, RaceReportDeterministicAcrossSchedPolicies) {
 }
 
 TEST(Sancheck, FuzzShippedKernelsCleanUnderEverySchedPolicy) {
-  // Seeded sweep: every kernel under every scheduling policy must come back
-  // with zero findings. A failure here is either a real kernel bug or a
-  // schedule-dependency in the detector — both are release blockers.
+  // Seeded sweep: every kernel under a one-warp and the derived resident
+  // window must come back with zero findings. A failure here is either a
+  // real kernel bug or a schedule-dependency in the detector — both are
+  // release blockers.
   const mat::Csr a = mat::Csr::from_coo(mat::random_uniform(400, 400, 9000, 23));
-  for (const char* policy : {"serial", "rr"}) {
+  for (const int window : {1, 0}) {
     for (const kern::Method m : kern::all_methods()) {
       EngineOptions options;
       options.method = m;
       options.sanitize = true;
-      options.sched.policy = sched_policy_by_name(policy);
+      options.sched.window = window;
       SpmvEngine engine(a, options);
       std::vector<float> x(a.ncols, 0.5f);
       std::vector<float> y;
       const SpmvResult r = engine.multiply(x, y);
       EXPECT_TRUE(r.sanitizer.enabled);
-      EXPECT_TRUE(r.sanitizer.clean()) << policy << " / "
+      EXPECT_TRUE(r.sanitizer.clean()) << "window " << window << " / "
                                        << std::string(kern::method_name(m)) << ":\n"
                                        << r.sanitizer.summary();
     }

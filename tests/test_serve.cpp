@@ -226,15 +226,15 @@ TEST(ServeReplay, ExportsByteIdenticalAcrossSimConfigs) {
 
   // The serve determinism contract: pinned engine options ignore the
   // ambient simulator env, so the exports must not move a byte across
-  // thread counts or scheduler policies.
+  // thread counts or L2 models.
   setenv("SPADEN_SIM_THREADS", "1", 1);
-  setenv("SPADEN_SIM_SCHED", "serial", 1);
+  setenv("SPADEN_SIM_SHARED_L2", "0", 1);
   const serve::ReplayResult first = serve::run_replay(spec);
   setenv("SPADEN_SIM_THREADS", "4", 1);
-  setenv("SPADEN_SIM_SCHED", "rr", 1);
+  setenv("SPADEN_SIM_SHARED_L2", "1", 1);
   const serve::ReplayResult second = serve::run_replay(spec);
   unsetenv("SPADEN_SIM_THREADS");
-  unsetenv("SPADEN_SIM_SCHED");
+  unsetenv("SPADEN_SIM_SHARED_L2");
 
   EXPECT_TRUE(first.demux_ok);
   EXPECT_TRUE(second.demux_ok);

@@ -223,6 +223,45 @@ TEST(Verify, BitCooCoordinateOutOfGridIsReported) {
   EXPECT_TRUE(has_violation(report, "bitcoo.coord-bounds")) << report.summary();
 }
 
+// ----- stored half values ----------------------------------------------------
+
+/// Poisons value 1 with +Inf bits and the last value with a quiet NaN; the
+/// checker must report exactly those two, each naming its owning block.
+template <typename Format>
+void expect_half_range_violations(Format f, const std::string& fmt) {
+  ASSERT_TRUE(check_format(f).ok()) << check_format(f).summary();
+  ASSERT_GE(f.values.size(), 3u);
+  const std::size_t last = f.values.size() - 1;
+  f.values[1] = half::from_bits(0x7C00);     // +Inf
+  f.values[last] = half::from_bits(0x7E00);  // quiet NaN
+  auto owner = [&](std::size_t i) {
+    std::size_t b = 0;
+    while (f.val_offset[b + 1] <= i) {
+      ++b;
+    }
+    return b;
+  };
+  const FormatReport report = check_format(f);
+  const std::string name = fmt + ".values.half-range";
+  EXPECT_EQ(report.violation_count, 2u) << report.summary();
+  const std::string where = locations_of(report, name);
+  EXPECT_NE(where.find("block " + std::to_string(owner(1)) + ", value 1;"), std::string::npos)
+      << report.summary();
+  EXPECT_NE(where.find("block " + std::to_string(owner(last)) + ", value " +
+                       std::to_string(last) + ";"),
+            std::string::npos)
+      << report.summary();
+  EXPECT_NE(report.summary().find("0x7c00 is Inf"), std::string::npos) << report.summary();
+  EXPECT_NE(report.summary().find("0x7e00 is NaN"), std::string::npos) << report.summary();
+}
+
+TEST(Verify, NonFiniteStoredHalfIsLocated) {
+  const mat::Csr a = test_matrix();
+  expect_half_range_violations(mat::BitBsr::from_csr(a), "bitbsr");
+  expect_half_range_violations(mat::BitBsr16::from_csr(a), "bitbsr16");
+  expect_half_range_violations(mat::BitCoo::from_csr(a), "bitcoo");
+}
+
 // ----- engine integration ----------------------------------------------------
 
 TEST(Verify, EngineGateAcceptsEveryShippedKernelsUpload) {

@@ -149,7 +149,7 @@ TEST(Warp, AtomicAddAccumulatesCollidingLanes) {
 
 TEST(Warp, AtomicFetchAddSerializesAcrossWarps) {
   Device dev(tiny_spec());
-  dev.set_sim_threads(1);  // grid-order claims: a serial-launcher property
+  dev.set_sim_threads(1);  // grid-order claims need a single virtual SM
   auto counter = dev.memory().alloc<std::uint32_t>(1);
   std::vector<std::uint32_t> claims;
   dev.launch("t", 10, [&](WarpCtx& ctx, std::uint64_t) {
